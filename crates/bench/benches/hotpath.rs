@@ -1,8 +1,9 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
-//! reads/writes, TLB/PWC/PMPTW-cache lookups, and interned-counter bumps —
-//! plus an end-to-end page-walk sweep whose throughput declaration turns
-//! the timing into the suite's walks-per-second headline (printed to
-//! stderr after the run).
+//! reads/writes, cache-hierarchy references (L1-resident and DRAM-bound),
+//! TLB/PWC/PMPTW-cache lookups, interned-counter bumps and the model
+//! checker's state fork — plus an end-to-end page-walk sweep whose
+//! throughput declaration turns the timing into the suite's
+//! walks-per-second headline (printed to stderr after the run).
 //!
 //! These are the operations every simulated memory reference pays, so their
 //! per-op cost bounds full-experiment wall clock. Emit a machine-readable
@@ -15,7 +16,10 @@
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmp_core::{LeafPmpte, PmptwCache, PmptwCacheConfig};
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder};
-use hpmp_memsim::{AccessKind, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr, PAGE_SIZE};
+use hpmp_memsim::{
+    AccessKind, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr,
+    LINE_SIZE, PAGE_SIZE,
+};
 use hpmp_paging::{Tlb, TlbConfig, TlbEntry, TranslationMode, WalkCache, WalkCacheConfig};
 use hpmp_trace::{walks_in_snapshot, MetricsRegistry};
 use std::hint::black_box;
@@ -51,6 +55,43 @@ fn physmem(c: &mut Criterion) {
             for i in 0..OPS {
                 mem.write_u64(black_box(PhysAddr::new(RAM_BASE + i * stride + 8)), i);
             }
+        })
+    });
+    group.finish();
+}
+
+fn hierarchy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("memsim");
+    group.sample_size(200);
+
+    // 128 lines = half the Rocket L1: after the warm-up call every
+    // reference hits L1.
+    let mut mem = MemSystem::new(MemSystemConfig::rocket());
+    group.bench_function("hierarchy_l1_hot", |b| {
+        b.iter(|| {
+            let mut cycles = 0u64;
+            for i in 0..OPS {
+                let pa = PhysAddr::new(RAM_BASE + (i % 128) * LINE_SIZE);
+                cycles += mem.access(black_box(pa)).cycles;
+            }
+            cycles
+        })
+    });
+
+    // A line-stride stream over 64 MiB, 16× the LLC: every reference
+    // misses every level and pays the DRAM model.
+    const SPAN_LINES: u64 = (64 << 20) / LINE_SIZE;
+    let mut mem = MemSystem::new(MemSystemConfig::rocket());
+    let mut line = 0u64;
+    group.bench_function("hierarchy_dram", |b| {
+        b.iter(|| {
+            let mut cycles = 0u64;
+            for _ in 0..OPS {
+                let pa = PhysAddr::new(RAM_BASE + line * LINE_SIZE);
+                cycles += mem.access(black_box(pa)).cycles;
+                line = (line + 1) % SPAN_LINES;
+            }
+            cycles
         })
     });
     group.finish();
@@ -240,5 +281,29 @@ fn smp_backends(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, physmem, lookups, registry, walks, smp_backends);
+/// The model checker's per-transition fork: clone and drop a booted
+/// 2-hart HPMP system, as `hpmp-verify bmc` does for every op it tries.
+fn fork(c: &mut Criterion) {
+    use hpmp_core::PmpRegion;
+    use hpmp_penglai::{SmpSystem, TeeFlavor};
+
+    let mut group = c.benchmark_group("smp");
+    group.sample_size(200);
+    let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), 128 << 20);
+    let smp = SmpSystem::boot(MachineConfig::rocket(), TeeFlavor::PenglaiHpmp, ram, 2)
+        .expect("2-hart HPMP boot");
+    group.bench_function("fork", |b| b.iter(|| drop(black_box(smp.clone()))));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    physmem,
+    hierarchy,
+    lookups,
+    registry,
+    walks,
+    smp_backends,
+    fork
+);
 criterion_main!(benches);

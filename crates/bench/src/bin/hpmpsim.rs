@@ -57,10 +57,11 @@
 //! control). The run honours `--flavor`, `--core`, `--harts` and
 //! `--backend`, uses the fixed SMP seed, and is byte-identical at any
 //! `--jobs` and on either backend. `--metrics-out`/`--bench-out` work as
-//! usual. Exit status: 0 normally, 1 if a robustness invariant broke
-//! (canary loss or a fast-path/oracle disagreement), and **3** if the run
-//! *ended* inside stage-3 admission control — a distinct, non-panicking
-//! signal that the modelled fleet saturated its arena.
+//! usual; `--host-profile-out` is rejected. Exit status: 0 normally, 1 if
+//! a robustness invariant broke (canary loss or a fast-path/oracle
+//! disagreement), and **3** if the run *ended* inside stage-3 admission
+//! control — a distinct, non-panicking signal that the modelled fleet
+//! saturated its arena.
 //!
 //! `--fault-campaign` switches to fault-injection mode instead of running a
 //! workload: the campaign's shards (part of the spec, not derived from
@@ -645,8 +646,12 @@ fn run_aging_scenario(options: &Options) -> ! {
     if options.trace_out.is_some()
         || options.snapshot_interval.is_some()
         || options.timeline_out.is_some()
+        || options.host_profile_out.is_some()
     {
-        eprintln!("--scenario aging supports --metrics-out/--bench-out/--spans-out, not trace/timeline flags");
+        eprintln!(
+            "--scenario aging supports --metrics-out/--bench-out/--spans-out, not trace/timeline \
+             flags or --host-profile-out"
+        );
         usage()
     }
     if options.spans_out.is_some() && options.backend == ExecBackend::Threaded {

@@ -182,6 +182,13 @@ fn hpmpsim_rejects_bad_scenario_combinations() {
     );
     assert_eq!(code, 2);
     assert!(err.contains("deterministic"), "{err}");
+    // The host profile times workload runs; the scenario would write none.
+    let (code, err) = run(
+        env!("CARGO_BIN_EXE_hpmpsim"),
+        &["--scenario", "aging", "--host-profile-out", "host.json"],
+    );
+    assert_eq!(code, 2);
+    assert!(err.contains("--host-profile-out"), "{err}");
 }
 
 #[test]
