@@ -1,6 +1,7 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
 //! reads/writes, cache-hierarchy references (L1-resident and DRAM-bound),
-//! TLB/PWC/PMPTW-cache lookups, interned-counter bumps and the model
+//! TLB/PWC/PMPTW-cache lookups, the 3-D nested walk, the planned HPMP
+//! check of a table-mode entry, interned-counter bumps and the model
 //! checker's state fork — plus an end-to-end page-walk sweep whose
 //! throughput declaration turns the timing into the suite's
 //! walks-per-second headline (printed to stderr after the run).
@@ -14,13 +15,18 @@
 //! ```
 
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
-use hpmp_core::{LeafPmpte, PmptwCache, PmptwCacheConfig};
+use hpmp_core::{
+    HpmpRegFile, LeafPmpte, PmpRegion, PmpTable, PmptwCache, PmptwCacheConfig, TableLevels,
+};
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder};
 use hpmp_memsim::{
-    AccessKind, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode, VirtAddr,
-    LINE_SIZE, PAGE_SIZE,
+    AccessKind, FrameAllocator, MemSystem, MemSystemConfig, Perms, PhysAddr, PhysMem, PrivMode,
+    SplitMix64, VirtAddr, LINE_SIZE, PAGE_SIZE,
 };
-use hpmp_paging::{Tlb, TlbConfig, TlbEntry, TranslationMode, WalkCache, WalkCacheConfig};
+use hpmp_paging::{
+    nested_walk, AddressSpace, GuestView, NestedPageTable, Tlb, TlbConfig, TlbEntry,
+    TranslationMode, WalkCache, WalkCacheConfig,
+};
 use hpmp_trace::{walks_in_snapshot, MetricsRegistry};
 use std::hint::black_box;
 
@@ -164,6 +170,122 @@ fn lookups(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 3-D nested walk alone, in the `walk_virt` shape: an Sv39 guest of
+/// 4096 data pages at guest VA 0x20_0000 over an Sv39x4 nested table,
+/// walked at uniformly random pages with the G-stage TLB and guest PWC
+/// warm (the Rocket geometry; the harness's warm-up call fills them).
+fn nested(c: &mut Criterion) {
+    const GUEST_PAGES: u64 = 4096;
+    const GUEST_BASE: u64 = 0x20_0000;
+    const GPA_PT_POOL: u64 = 0x1000_0000;
+    const GPA_DATA: u64 = 0x1080_0000;
+
+    let mut group = c.benchmark_group("paging");
+    group.sample_size(200);
+
+    let mut mem = PhysMem::new();
+    let mut npt_frames = FrameAllocator::new(PhysAddr::new(RAM_BASE), 64 * PAGE_SIZE);
+    let mut npt = NestedPageTable::new(&mut mem, &mut npt_frames).expect("NPT root");
+    let mut host = FrameAllocator::new(PhysAddr::new(RAM_BASE + (1 << 24)), 1 << 26);
+    for i in 0..64 {
+        let gpa = PhysAddr::new(GPA_PT_POOL + i * PAGE_SIZE);
+        let hpa = host.alloc().expect("host frame");
+        npt.map_page(&mut mem, &mut npt_frames, gpa, hpa, true)
+            .expect("NPT map");
+    }
+    for i in 0..GUEST_PAGES {
+        let gpa = PhysAddr::new(GPA_DATA + i * PAGE_SIZE);
+        let hpa = host.alloc().expect("host frame");
+        npt.map_page(&mut mem, &mut npt_frames, gpa, hpa, true)
+            .expect("NPT map");
+    }
+    let mut guest_frames = FrameAllocator::new(PhysAddr::new(GPA_PT_POOL), 64 * PAGE_SIZE);
+    let mut view = GuestView::new(&mut mem, &npt);
+    let mut guest = AddressSpace::new(TranslationMode::Sv39, 5, &mut view, &mut guest_frames)
+        .expect("guest root");
+    for i in 0..GUEST_PAGES {
+        let gva = VirtAddr::new(GUEST_BASE + i * PAGE_SIZE);
+        let gpa = PhysAddr::new(GPA_DATA + i * PAGE_SIZE);
+        guest
+            .map_page(&mut view, &mut guest_frames, gva, gpa, Perms::RW, true)
+            .expect("guest map");
+    }
+
+    let config = MachineConfig::rocket();
+    let mut gtlb = Tlb::new(config.tlb);
+    let mut gpwc = WalkCache::new(config.pwc);
+    let mut rng = SplitMix64::seed_from_u64(1);
+    let gvas: Vec<VirtAddr> = (0..OPS)
+        .map(|_| VirtAddr::new(GUEST_BASE + rng.gen_range(0..GUEST_PAGES) * PAGE_SIZE))
+        .collect();
+    group.bench_function("nested_walk", |b| {
+        b.iter(|| {
+            let mut refs = 0;
+            for &gva in &gvas {
+                let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, black_box(gva));
+                refs += result.refs.len();
+            }
+            refs
+        })
+    });
+    group.finish();
+}
+
+/// The planned HPMP check of a table-mode entry with the PMPTW-Cache off:
+/// every check reads a root and a leaf pmpte.
+fn checks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("check");
+    group.sample_size(200);
+
+    let mut mem = PhysMem::new();
+    let mut frames = FrameAllocator::new(PhysAddr::new(RAM_BASE), 64 * PAGE_SIZE);
+    let region = PmpRegion::new(PhysAddr::new(RAM_BASE + (1 << 28)), 1 << 28);
+    let mut table = PmpTable::new(region, &mut mem, &mut frames).expect("table");
+    for i in 0..OPS {
+        let page = PhysAddr::new(region.base.raw() + i * PAGE_SIZE);
+        table
+            .set_page_perm(&mut mem, &mut frames, page, Perms::RW)
+            .expect("table fill");
+    }
+    let mut regs = HpmpRegFile::new();
+    regs.configure_table(0, region, table.root(), TableLevels::Two)
+        .expect("table entry");
+    let plan = regs.plan();
+    let mut cache = PmptwCache::disabled();
+    assert_eq!(
+        plan.check(
+            &mem,
+            &mut cache,
+            region.base,
+            AccessKind::Read,
+            PrivMode::Supervisor
+        )
+        .refs
+        .len(),
+        2,
+        "a table-mode check without the cache reads two pmptes"
+    );
+    group.bench_function("entry_plan_table", |b| {
+        b.iter(|| {
+            let mut allowed = 0u64;
+            for i in 0..OPS {
+                let pa = PhysAddr::new(region.base.raw() + i * PAGE_SIZE);
+                allowed += plan
+                    .check(
+                        &mem,
+                        &mut cache,
+                        black_box(pa),
+                        AccessKind::Read,
+                        PrivMode::Supervisor,
+                    )
+                    .allowed as u64;
+            }
+            allowed
+        })
+    });
+    group.finish();
+}
+
 fn registry(c: &mut Criterion) {
     let mut group = c.benchmark_group("registry");
     group.sample_size(200);
@@ -284,7 +406,6 @@ fn smp_backends(c: &mut Criterion) {
 /// The model checker's per-transition fork: clone and drop a booted
 /// 2-hart HPMP system, as `hpmp-verify bmc` does for every op it tries.
 fn fork(c: &mut Criterion) {
-    use hpmp_core::PmpRegion;
     use hpmp_penglai::{SmpSystem, TeeFlavor};
 
     let mut group = c.benchmark_group("smp");
@@ -301,6 +422,8 @@ criterion_group!(
     physmem,
     hierarchy,
     lookups,
+    nested,
+    checks,
     registry,
     walks,
     smp_backends,

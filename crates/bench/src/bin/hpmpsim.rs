@@ -71,7 +71,10 @@
 //! contradicted the oracle (`silent > 0`) or a recovery path failed.
 //! `--campaign-out` writes one JSON record per trial plus a final summary
 //! object; for a fixed `--fault-seed` the file and stdout are
-//! byte-identical at any `--jobs` level.
+//! byte-identical at any `--jobs` level. A campaign writes only
+//! `--campaign-out` and `--metrics-out`: the workload-path artifact flags
+//! and `--scenario` are rejected with it, and `--fault-seed` and
+//! `--campaign-out` are rejected without it (exit 2).
 //!
 //! `--trace-out` streams one JSON object per page walk (see
 //! `hpmp_trace::WalkEvent::to_json`); `--metrics-out` writes the unified
@@ -127,7 +130,7 @@ struct Options {
     timeline_out: Option<String>,
     spans_out: Option<String>,
     fault_campaign: Option<String>,
-    fault_seed: u64,
+    fault_seed: Option<u64>,
     campaign_out: Option<String>,
     host_profile_out: Option<String>,
 }
@@ -176,7 +179,7 @@ fn parse_args() -> Options {
         timeline_out: None,
         spans_out: None,
         fault_campaign: None,
-        fault_seed: 0,
+        fault_seed: None,
         campaign_out: None,
         host_profile_out: None,
     };
@@ -265,7 +268,7 @@ fn parse_args() -> Options {
             "--spans-out" => options.spans_out = Some(value("--spans-out")),
             "--fault-campaign" => options.fault_campaign = Some(value("--fault-campaign")),
             "--fault-seed" => match value("--fault-seed").parse() {
-                Ok(n) => options.fault_seed = n,
+                Ok(n) => options.fault_seed = Some(n),
                 Err(_) => {
                     eprintln!("--fault-seed needs an unsigned integer");
                     usage()
@@ -283,6 +286,32 @@ fn parse_args() -> Options {
     if options.churn_ops.is_some() && options.scenario.is_none() {
         eprintln!("--churn-ops needs --scenario aging");
         usage()
+    }
+    if options.fault_campaign.is_some() {
+        // A campaign writes only its records and its metrics.
+        let workload_only = [
+            ("--trace-out", options.trace_out.is_some()),
+            ("--bench-out", options.bench_out.is_some()),
+            ("--snapshot-interval", options.snapshot_interval.is_some()),
+            ("--timeline-out", options.timeline_out.is_some()),
+            ("--spans-out", options.spans_out.is_some()),
+            ("--host-profile-out", options.host_profile_out.is_some()),
+            ("--scenario", options.scenario.is_some()),
+        ];
+        if let Some((flag, _)) = workload_only.iter().find(|(_, given)| *given) {
+            eprintln!("{flag} does not apply to --fault-campaign");
+            usage()
+        }
+    } else {
+        for (flag, given) in [
+            ("--fault-seed", options.fault_seed.is_some()),
+            ("--campaign-out", options.campaign_out.is_some()),
+        ] {
+            if given {
+                eprintln!("{flag} needs --fault-campaign");
+                usage()
+            }
+        }
     }
     options
 }
@@ -562,15 +591,15 @@ fn run_fault_campaign(options: &Options) -> ! {
                 .unwrap_or(1)
         })
         .max(1);
+    let seed = options.fault_seed.unwrap_or(0);
     println!(
         "hpmpsim: fault campaign {} seed {} ({} shards over {} jobs)",
         spec.canonical(),
-        options.fault_seed,
+        seed,
         spec.shards,
         jobs
     );
 
-    let seed = options.fault_seed;
     let shard_results = run_ordered(
         spec.shards as usize,
         jobs,

@@ -192,6 +192,35 @@ fn hpmpsim_rejects_bad_scenario_combinations() {
 }
 
 #[test]
+fn hpmpsim_rejects_flags_the_fault_campaign_would_ignore() {
+    const CAMPAIGN: [&str; 2] = ["--fault-campaign", "faults=10,shards=1"];
+    // Workload-path artifacts and the scenario switch: a campaign writes
+    // none of them.
+    for extra in [
+        &["--trace-out", "w.jsonl"][..],
+        &["--bench-out", "BENCH_x.json"],
+        &["--timeline-out", "t.jsonl"],
+        &["--spans-out", "s.jsonl"],
+        &["--snapshot-interval", "1000"],
+        &["--host-profile-out", "host.json"],
+        &["--scenario", "aging"],
+    ] {
+        let args = [&CAMPAIGN[..], extra].concat();
+        let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(err.contains(extra[0]), "{args:?}: {err}");
+        assert!(err.contains("--fault-campaign"), "{args:?}: {err}");
+    }
+    // Campaign-only flags without a campaign.
+    for extra in [&["--fault-seed", "7"][..], &["--campaign-out", "c.jsonl"]] {
+        let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), extra);
+        assert_eq!(code, 2, "{extra:?}: {err}");
+        assert!(err.contains(extra[0]), "{extra:?}: {err}");
+        assert!(err.contains("needs --fault-campaign"), "{extra:?}: {err}");
+    }
+}
+
+#[test]
 fn repro_rejects_unknown_backends() {
     let (code, err) = run(env!("CARGO_BIN_EXE_repro"), &["--backend", "bogus"]);
     assert_eq!(code, 2);

@@ -21,7 +21,7 @@ use hpmp_trace::PmptwOutcome;
 
 use crate::pmp::{napot_decode, napot_encode, AddressMode, PmpConfig, PmpRegion};
 use crate::ptw_cache::PmptwCache;
-use crate::table::{self, LeafPmpte, PmptRef, RootPmpte, TableLevels, TableOffset};
+use crate::table::{self, LeafPmpte, PmptRef, PmptRefs, RootPmpte, TableLevels, TableOffset};
 
 /// Number of HPMP entries in the prototype ("our prototype supports 16
 /// entries").
@@ -97,7 +97,7 @@ pub struct CheckOutcome {
     pub matched_entry: Option<usize>,
     /// pmpte memory references performed by the PMP Table walker (empty in
     /// segment mode or on a PMPTW-Cache leaf hit).
-    pub refs: Vec<PmptRef>,
+    pub refs: PmptRefs,
     /// How the PMPTW-Cache resolved this check: `None` when no PMP Table
     /// walk happened at all (segment mode, M-mode bypass, no match),
     /// `Bypass` when a table walk ran with the cache disabled or at a
@@ -115,7 +115,7 @@ impl CheckOutcome {
             allowed: false,
             perms: Perms::NONE,
             matched_entry: None,
-            refs: Vec::new(),
+            refs: PmptRefs::new(),
             pmptw: None,
             malformed: false,
         }
@@ -445,7 +445,7 @@ impl HpmpRegFile {
                     allowed: true,
                     perms: Perms::RWX,
                     matched_entry: Some(idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -456,7 +456,7 @@ impl HpmpRegFile {
                     allowed: perms.allows(kind),
                     perms,
                     matched_entry: Some(idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -490,7 +490,7 @@ impl HpmpRegFile {
                 allowed: true,
                 perms: Perms::RWX,
                 matched_entry: None,
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 pmptw: None,
                 malformed: false,
             }
@@ -559,14 +559,14 @@ fn walk_with_cache(
     region_base: PhysAddr,
     addr: PhysAddr,
     offset: u64,
-) -> (Option<Perms>, Vec<PmptRef>, PmptwOutcome, bool) {
+) -> (Option<Perms>, PmptRefs, PmptwOutcome, bool) {
     let cache_covers = !cache.is_disabled() && levels == TableLevels::Two;
     if cache_covers {
         // Fast path: leaf pmpte cached => zero references.
         if let Some(perms) = cache.lookup_leaf(entry_idx, offset) {
             return (
                 (!perms.is_empty()).then_some(perms),
-                Vec::new(),
+                PmptRefs::new(),
                 PmptwOutcome::LeafHit,
                 false,
             );
@@ -574,22 +574,23 @@ fn walk_with_cache(
         // Root pmpte cached => one reference (the leaf read).
         if let Some(root_pmpte) = cache.lookup_root(entry_idx, offset) {
             if !root_pmpte.is_valid() {
-                return (None, Vec::new(), PmptwOutcome::RootHit, false);
+                return (None, PmptRefs::new(), PmptwOutcome::RootHit, false);
             }
             if root_pmpte.is_huge() {
                 return (
                     Some(root_pmpte.perms()),
-                    Vec::new(),
+                    PmptRefs::new(),
                     PmptwOutcome::RootHit,
                     false,
                 );
             }
             let split = TableOffset::split(offset);
             let leaf_slot = PhysAddr::new(root_pmpte.leaf_table().raw() + split.off0 * 8);
-            let leaf_ref = vec![PmptRef {
+            let mut leaf_ref = PmptRefs::new();
+            leaf_ref.push(PmptRef {
                 is_root: false,
                 addr: leaf_slot,
-            }];
+            });
             let Ok(leaf) = LeafPmpte::decode(mem.read_u64(leaf_slot)) else {
                 // Corrupt leaf behind a cached root: fail closed, uncached.
                 return (None, leaf_ref, PmptwOutcome::RootHit, true);
@@ -751,7 +752,7 @@ impl EntryPlan {
                     allowed: true,
                     perms: Perms::RWX,
                     matched_entry: Some(entry.idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 };
@@ -762,7 +763,7 @@ impl EntryPlan {
                     allowed: perms.allows(kind),
                     perms,
                     matched_entry: Some(entry.idx),
-                    refs: Vec::new(),
+                    refs: PmptRefs::new(),
                     pmptw: None,
                     malformed: false,
                 },
@@ -796,7 +797,7 @@ impl EntryPlan {
                 allowed: true,
                 perms: Perms::RWX,
                 matched_entry: None,
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 pmptw: None,
                 malformed: false,
             }

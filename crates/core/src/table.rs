@@ -29,7 +29,7 @@
 //! single-bit corruption of a stored pmpte is guaranteed to decode as
 //! [`MalformedPmpte`] — the walker then fails closed instead of granting.
 
-use hpmp_memsim::{Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{InlineVec, Perms, PhysAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pmp::PmpRegion;
 
@@ -430,7 +430,7 @@ impl std::fmt::Display for TableError {
 impl std::error::Error for TableError {}
 
 /// One pmpte read performed by the PMP Table walker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PmptRef {
     /// `true` for a root pmpte, `false` for a leaf pmpte.
     pub is_root: bool,
@@ -438,11 +438,18 @@ pub struct PmptRef {
     pub addr: PhysAddr,
 }
 
+/// Most pmpte reads one PMP Table walk performs: one per level of the
+/// deepest table, [`TableLevels::Three`].
+pub const MAX_PMPT_REFS: usize = TableLevels::Three.depth();
+
+/// The pmpte reads of one PMP Table walk, in order.
+pub type PmptRefs = InlineVec<PmptRef, MAX_PMPT_REFS>;
+
 /// Outcome of walking a PMP Table for one physical address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableWalk {
     /// pmpte reads performed, in order (≤ 2 for a 2-level table).
-    pub refs: Vec<PmptRef>,
+    pub refs: PmptRefs,
     /// The permission found, or `None` if the walk hit an invalid entry.
     pub perms: Option<Perms>,
     /// `true` if the walk read a pmpte that failed its integrity check
@@ -699,7 +706,7 @@ impl PmpTable {
     pub fn walk(&self, mem: &dyn WordStore, addr: PhysAddr) -> TableWalk {
         if !self.region.contains(addr) {
             return TableWalk {
-                refs: Vec::new(),
+                refs: PmptRefs::new(),
                 perms: None,
                 malformed: false,
             };
@@ -727,7 +734,7 @@ pub(crate) fn walk_from_root(
     offset: u64,
 ) -> TableWalk {
     let split = TableOffset::split(offset);
-    let mut refs = Vec::with_capacity(levels.depth());
+    let mut refs = PmptRefs::new();
     let mut table = root;
     for level in (1..levels.depth()).rev() {
         let idx = (offset >> TableLevels::index_shift(level)) & 0x1ff;

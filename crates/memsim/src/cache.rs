@@ -190,19 +190,22 @@ impl Cache {
         let clock = self.clock;
         let n = self.config.ways;
         let ways = &mut self.ways[set * n..][..n];
-        if let Some(way) = ways.iter_mut().find(|w| w.tag == tag) {
-            way.lru = clock;
-            self.stats.hits += 1;
-            return true;
+        // One pass finds the hit or, failing that, the first
+        // least-recently-used way (so the first empty way when the set has
+        // one).
+        let (mut victim, mut least) = (0, u64::MAX);
+        for (i, way) in ways.iter().enumerate() {
+            if way.tag == tag {
+                ways[i].lru = clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            let older = way.lru < least;
+            victim = if older { i } else { victim };
+            least = if older { way.lru } else { least };
         }
         self.stats.misses += 1;
-        // The first least-recently-used way, so the first empty way when
-        // the set has one.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("cache has at least one way");
-        *victim = Way { tag, lru: clock };
+        ways[victim] = Way { tag, lru: clock };
         false
     }
 

@@ -7,11 +7,12 @@
 //! G-stage TLB and a guest-stage walk cache shortening it for the warm cases
 //! of Figure 13.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
+use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr, WordStore, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, MapError, PtFrameSource, Translation};
 use crate::tlb::{Tlb, TlbEntry};
+use crate::walker::MAX_PT_REFS;
 use crate::Pte;
 
 /// A guest-physical address (the output of the guest page table, the input
@@ -142,8 +143,11 @@ impl NestedPageTable {
         &self,
         mem: &dyn WordStore,
         gpa: GuestPhysAddr,
-    ) -> (Vec<(usize, PhysAddr)>, Option<PhysAddr>) {
-        let mut refs = Vec::with_capacity(Self::LEVELS);
+    ) -> (
+        InlineVec<(usize, PhysAddr), { NestedPageTable::LEVELS }>,
+        Option<PhysAddr>,
+    ) {
+        let mut refs = InlineVec::new();
         if gpa.raw() >> 41 != 0 {
             return (refs, None);
         }
@@ -242,12 +246,30 @@ pub struct NestedRef {
     pub addr: PhysAddr,
 }
 
+/// An `nL0` read of address 0: the filler for unused [`InlineVec`] slots.
+impl Default for NestedRef {
+    fn default() -> NestedRef {
+        NestedRef {
+            kind: NestedRefKind::NestedPt { level: 0 },
+            addr: PhysAddr::default(),
+        }
+    }
+}
+
+/// Capacity of [`NestedWalkResult::refs`]. The worst case is an Sv57 guest:
+/// five guest-PT reads, each behind a G-stage sub-walk, plus the data
+/// page's sub-walk, every sub-walk reading all [`NestedPageTable::LEVELS`]
+/// nested levels — 5 + 6 × 3 = 23 references.
+pub const MAX_NESTED_REFS: usize = 24;
+
+const _: () = assert!(MAX_PT_REFS + (MAX_PT_REFS + 1) * NestedPageTable::LEVELS <= MAX_NESTED_REFS);
+
 /// Outcome of a nested (two-stage) walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NestedWalkResult {
     /// Ordered host-physical references performed (excluding the final data
     /// reference, which the machine layer issues).
-    pub refs: Vec<NestedRef>,
+    pub refs: InlineVec<NestedRef, MAX_NESTED_REFS>,
     /// Final translation (gVA → hPA) or `None` on a fault in either stage.
     pub translation: Option<Translation>,
 }
@@ -293,7 +315,7 @@ pub fn nested_walk(
 ) -> NestedWalkResult {
     let mode = guest.mode();
     let asid = guest.asid();
-    let mut refs = Vec::new();
+    let mut refs = InlineVec::new();
     if !mode.is_canonical(gva) {
         return NestedWalkResult {
             refs,
@@ -302,7 +324,9 @@ pub fn nested_walk(
     }
 
     // G-stage helper: translate a gPA, appending nL* refs on a G-TLB miss.
-    let mut g_translate = |gpa: GuestPhysAddr, refs: &mut Vec<NestedRef>| -> Option<PhysAddr> {
+    let mut g_translate = |gpa: GuestPhysAddr,
+                           refs: &mut InlineVec<NestedRef, MAX_NESTED_REFS>|
+     -> Option<PhysAddr> {
         let page_va = VirtAddr::new(gpa.page_base().raw());
         if let Some((entry, _)) = gtlb.lookup(GSTAGE_VMID, page_va) {
             return Some(PhysAddr::new(
@@ -310,7 +334,7 @@ pub fn nested_walk(
             ));
         }
         let (nrefs, hpa) = npt.walk_refs(mem, gpa);
-        for (level, addr) in nrefs {
+        for &(level, addr) in &nrefs {
             refs.push(NestedRef {
                 kind: NestedRefKind::NestedPt { level },
                 addr,
@@ -400,6 +424,10 @@ mod tests {
     const HOST_OFF: u64 = 0x4000_0000;
 
     fn fixture() -> (PhysMem, NestedPageTable, AddressSpace) {
+        fixture_in(TranslationMode::Sv39)
+    }
+
+    fn fixture_in(mode: TranslationMode) -> (PhysMem, NestedPageTable, AddressSpace) {
         let mut mem = PhysMem::new();
         let mut host_frames = FrameAllocator::new(PhysAddr::new(0x8000_0000), 512 * PAGE_SIZE);
         let mut npt = NestedPageTable::new(&mut mem, &mut host_frames).unwrap();
@@ -416,8 +444,7 @@ mod tests {
         // Guest PT frames come from the guest-physical pool.
         let mut guest_pt_frames = FrameAllocator::new(PhysAddr::new(gpa_pool_base), 32 * PAGE_SIZE);
         let mut view = GuestView::new(&mut mem, &npt);
-        let mut guest =
-            AddressSpace::new(TranslationMode::Sv39, 9, &mut view, &mut guest_pt_frames).unwrap();
+        let mut guest = AddressSpace::new(mode, 9, &mut view, &mut guest_pt_frames).unwrap();
         let data_gpa = GuestPhysAddr::new(gpa_pool_base + 40 * PAGE_SIZE);
         guest
             .map_page(
@@ -459,6 +486,20 @@ mod tests {
             result.refs[3].kind,
             NestedRefKind::GuestPt { level: 2 }
         ));
+    }
+
+    /// The deepest guest over Sv39x4, fully cold: five guest-PT reads and
+    /// six three-level G-stage sub-walks fit the inline reference list.
+    #[test]
+    fn cold_sv57_guest_walk_fits_the_inline_list() {
+        let (mem, npt, guest) = fixture_in(TranslationMode::Sv57);
+        let (mut gtlb, mut gpwc) = caches();
+        let result = nested_walk(&mem, &guest, &npt, &mut gtlb, &mut gpwc, GVA);
+        assert!(result.translation.is_some());
+        assert_eq!(result.guest_refs(), 5);
+        assert_eq!(result.nested_refs(), 6 * NestedPageTable::LEVELS);
+        assert_eq!(result.refs.len(), 23);
+        assert!(result.refs.len() <= MAX_NESTED_REFS);
     }
 
     #[test]

@@ -134,12 +134,6 @@ impl Default for TlbConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct L1Slot {
-    entry: TlbEntry,
-    lru: u64,
-}
-
 /// A two-level data TLB.
 ///
 /// ```
@@ -158,9 +152,13 @@ struct L1Slot {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    l1: Vec<L1Slot>,
+    /// The fully-associative L1: the entries, their VPNs packed at the
+    /// same indices for the search (which scans them and then confirms the
+    /// ASID on the entry), and the slots' LRU order.
+    l1: Vec<TlbEntry>,
+    l1_vpn: Vec<u64>,
+    l1_order: Recency,
     l2: Vec<Option<TlbEntry>>,
-    clock: u64,
     epoch: u64,
     stats: TlbStats,
 }
@@ -180,8 +178,9 @@ impl Tlb {
         Tlb {
             config,
             l1: Vec::with_capacity(config.l1_entries),
+            l1_vpn: Vec::with_capacity(config.l1_entries),
+            l1_order: Recency::default(),
             l2: vec![None; config.l2_entries],
-            clock: 0,
             epoch: 0,
             stats: TlbStats::default(),
         }
@@ -196,22 +195,17 @@ impl Tlb {
     /// Entries stamped with an older isolation epoch read as misses.
     pub fn lookup(&mut self, asid: u16, va: VirtAddr) -> Option<(TlbEntry, TlbHit)> {
         let vpn = va.page_number();
-        self.clock += 1;
-        let clock = self.clock;
         let epoch = self.epoch;
-        if let Some(slot) = self
-            .l1
-            .iter_mut()
-            .find(|s| s.entry.asid == asid && s.entry.vpn == vpn)
-        {
-            if slot.entry.epoch != epoch {
+        if let Some(i) = self.l1_find(asid, vpn) {
+            let entry = self.l1[i];
+            if entry.epoch != epoch {
                 self.stats.stale += 1;
                 self.stats.misses += 1;
                 return None;
             }
-            slot.lru = clock;
+            self.l1_order.touch(i);
             self.stats.l1_hits += 1;
-            return Some((slot.entry, TlbHit::L1));
+            return Some((entry, TlbHit::L1));
         }
         let idx = self.l2_index(asid, vpn);
         if let Some(entry) = self.l2[idx] {
@@ -258,13 +252,15 @@ impl Tlb {
     /// `sfence.vma` with no arguments / HPMP reconfiguration: drop everything.
     pub fn flush_all(&mut self) {
         self.l1.clear();
+        self.l1_vpn.clear();
+        self.l1_order.clear();
         self.l2.iter_mut().for_each(|e| *e = None);
         self.stats.flushes += 1;
     }
 
     /// `sfence.vma` with an ASID: drop entries belonging to `asid`.
     pub fn flush_asid(&mut self, asid: u16) {
-        self.l1.retain(|s| s.entry.asid != asid);
+        self.l1_retain(|e| e.asid != asid);
         for e in self.l2.iter_mut() {
             if matches!(e, Some(entry) if entry.asid == asid) {
                 *e = None;
@@ -276,8 +272,7 @@ impl Tlb {
     /// `sfence.vma` with an address: drop the entry covering `va` in `asid`.
     pub fn flush_page(&mut self, asid: u16, va: VirtAddr) {
         let vpn = va.page_number();
-        self.l1
-            .retain(|s| !(s.entry.asid == asid && s.entry.vpn == vpn));
+        self.l1_retain(|e| !(e.asid == asid && e.vpn == vpn));
         let idx = self.l2_index(asid, vpn);
         if matches!(self.l2[idx], Some(e) if e.asid == asid && e.vpn == vpn) {
             self.l2[idx] = None;
@@ -296,30 +291,43 @@ impl Tlb {
     }
 
     fn insert_l1(&mut self, entry: TlbEntry) {
-        self.clock += 1;
-        if let Some(slot) = self
-            .l1
-            .iter_mut()
-            .find(|s| s.entry.asid == entry.asid && s.entry.vpn == entry.vpn)
-        {
-            slot.entry = entry;
-            slot.lru = self.clock;
-            return;
-        }
-        let slot = L1Slot {
-            entry,
-            lru: self.clock,
+        let i = match self.l1_find(entry.asid, entry.vpn) {
+            Some(i) => i,
+            None if self.l1.len() < self.config.l1_entries => {
+                self.l1.push(entry);
+                self.l1_vpn.push(entry.vpn);
+                self.l1_order.push();
+                return;
+            }
+            None => self.l1_order.oldest,
         };
-        if self.l1.len() < self.config.l1_entries {
-            self.l1.push(slot);
-        } else {
-            let victim = self
-                .l1
-                .iter_mut()
-                .min_by_key(|s| s.lru)
-                .expect("L1 TLB is non-empty when full");
-            *victim = slot;
+        self.l1[i] = entry;
+        self.l1_vpn[i] = entry.vpn;
+        self.l1_order.touch(i);
+    }
+
+    /// Index of the first L1 slot holding `(asid, vpn)`.
+    fn l1_find(&self, asid: u16, vpn: u64) -> Option<usize> {
+        let n = self.l1.len();
+        let vpns = &self.l1_vpn[..n];
+        (0..n).find(|&i| vpns[i] == vpn && self.l1[i].asid == asid)
+    }
+
+    /// Keeps the L1 slots whose entry satisfies `keep`, in slot order and
+    /// in LRU order.
+    fn l1_retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) {
+        let kept: Vec<bool> = self.l1.iter().map(keep).collect();
+        let mut n = 0;
+        for (i, &keep) in kept.iter().enumerate() {
+            if keep {
+                self.l1[n] = self.l1[i];
+                self.l1_vpn[n] = self.l1_vpn[i];
+                n += 1;
+            }
         }
+        self.l1.truncate(n);
+        self.l1_vpn.truncate(n);
+        self.l1_order.retain(&kept);
     }
 
     fn l2_index(&self, asid: u16, vpn: u64) -> usize {
@@ -327,6 +335,105 @@ impl Tlb {
         // as in a physically-small direct-mapped structure).
         let _ = asid;
         (vpn as usize) & (self.config.l2_entries - 1)
+    }
+}
+
+/// No slot: the end of a [`Recency`] list.
+const NIL: usize = usize::MAX;
+
+/// The exact LRU order of the L1 slots, as a doubly linked list threaded
+/// through two index arrays. Touching a slot and finding the least recently
+/// used one are O(1), where a stamp per slot would need a scan of every
+/// stamp to pick each victim.
+#[derive(Clone, Debug)]
+struct Recency {
+    /// `newer[i]`: the slot touched next after slot `i`, or [`NIL`].
+    newer: Vec<usize>,
+    /// `older[i]`: the slot touched last before slot `i`, or [`NIL`].
+    older: Vec<usize>,
+    /// The most recently used slot, or [`NIL`].
+    newest: usize,
+    /// The least recently used slot, or [`NIL`].
+    oldest: usize,
+}
+
+impl Default for Recency {
+    fn default() -> Recency {
+        Recency {
+            newer: Vec::new(),
+            older: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+        }
+    }
+}
+
+impl Recency {
+    /// Forgets every slot, keeping the storage.
+    fn clear(&mut self) {
+        self.newer.clear();
+        self.older.clear();
+        self.newest = NIL;
+        self.oldest = NIL;
+    }
+
+    /// Adds the next slot index as the most recently used.
+    fn push(&mut self) {
+        self.newer.push(NIL);
+        self.older.push(NIL);
+        self.link_newest(self.newer.len() - 1);
+    }
+
+    /// Makes slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if i == self.newest {
+            return;
+        }
+        let (older, newer) = (self.older[i], self.newer[i]);
+        self.older[newer] = older;
+        match older {
+            NIL => self.oldest = newer,
+            older => self.newer[older] = newer,
+        }
+        self.link_newest(i);
+    }
+
+    /// Drops the slots whose `kept` flag is false and renumbers the rest
+    /// densely in slot order, keeping their LRU order.
+    fn retain(&mut self, kept: &[bool]) {
+        let mut renumbered = vec![NIL; kept.len()];
+        let mut n = 0;
+        for (i, &keep) in kept.iter().enumerate() {
+            if keep {
+                renumbered[i] = n;
+                n += 1;
+            }
+        }
+        let mut by_age = Vec::with_capacity(n);
+        let mut i = self.oldest;
+        while i != NIL {
+            if kept[i] {
+                by_age.push(renumbered[i]);
+            }
+            i = self.newer[i];
+        }
+        self.clear();
+        self.newer.resize(n, NIL);
+        self.older.resize(n, NIL);
+        for i in by_age {
+            self.link_newest(i);
+        }
+    }
+
+    /// Links the unlinked slot `i` in as the most recently used.
+    fn link_newest(&mut self, i: usize) {
+        self.older[i] = self.newest;
+        self.newer[i] = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            newest => self.newer[newest] = i,
+        }
+        self.newest = i;
     }
 }
 
@@ -446,6 +553,208 @@ mod tests {
         tlb.fill(entry(1, 2)); // evicts vpn=1 from the 1-entry L1
         assert!(tlb.lookup(1, VirtAddr::new(0x1000)).is_none());
         assert!(tlb.stats().stale >= 1);
+    }
+
+    #[derive(Clone, Copy)]
+    struct L1Slot {
+        entry: TlbEntry,
+        lru: u64,
+    }
+
+    /// The L1 as it was before the packed VPN array and the recency list:
+    /// one fat slot per entry with an LRU stamp, searched by a linear scan
+    /// for the first match and evicting the first least stamp. The L2,
+    /// epoch and counter logic are the same as [`Tlb`]'s; only the L1
+    /// differs.
+    struct FatSlotTlb {
+        config: TlbConfig,
+        l1: Vec<L1Slot>,
+        l2: Vec<Option<TlbEntry>>,
+        clock: u64,
+        epoch: u64,
+        stats: TlbStats,
+    }
+
+    impl FatSlotTlb {
+        fn new(config: TlbConfig) -> FatSlotTlb {
+            FatSlotTlb {
+                config,
+                l1: Vec::new(),
+                l2: vec![None; config.l2_entries],
+                clock: 0,
+                epoch: 0,
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, asid: u16, va: VirtAddr) -> Option<(TlbEntry, TlbHit)> {
+            let vpn = va.page_number();
+            self.clock += 1;
+            let clock = self.clock;
+            let epoch = self.epoch;
+            if let Some(slot) = self
+                .l1
+                .iter_mut()
+                .find(|s| s.entry.asid == asid && s.entry.vpn == vpn)
+            {
+                if slot.entry.epoch != epoch {
+                    self.stats.stale += 1;
+                    self.stats.misses += 1;
+                    return None;
+                }
+                slot.lru = clock;
+                self.stats.l1_hits += 1;
+                return Some((slot.entry, TlbHit::L1));
+            }
+            let idx = self.l2_index(vpn);
+            if let Some(entry) = self.l2[idx] {
+                if entry.asid == asid && entry.vpn == vpn {
+                    if entry.epoch != epoch {
+                        self.stats.stale += 1;
+                        self.stats.misses += 1;
+                        return None;
+                    }
+                    self.stats.l2_hits += 1;
+                    self.insert_l1(entry);
+                    return Some((entry, TlbHit::L2));
+                }
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn fill(&mut self, entry: TlbEntry) {
+            let entry = TlbEntry {
+                epoch: self.epoch,
+                ..entry
+            };
+            let idx = self.l2_index(entry.vpn);
+            self.l2[idx] = Some(entry);
+            self.insert_l1(entry);
+        }
+
+        fn flush_all(&mut self) {
+            self.l1.clear();
+            self.l2.iter_mut().for_each(|e| *e = None);
+            self.stats.flushes += 1;
+        }
+
+        fn flush_asid(&mut self, asid: u16) {
+            self.l1.retain(|s| s.entry.asid != asid);
+            for e in self.l2.iter_mut() {
+                if matches!(e, Some(entry) if entry.asid == asid) {
+                    *e = None;
+                }
+            }
+            self.stats.flushes += 1;
+        }
+
+        fn flush_page(&mut self, asid: u16, va: VirtAddr) {
+            let vpn = va.page_number();
+            self.l1
+                .retain(|s| !(s.entry.asid == asid && s.entry.vpn == vpn));
+            let idx = self.l2_index(vpn);
+            if matches!(self.l2[idx], Some(e) if e.asid == asid && e.vpn == vpn) {
+                self.l2[idx] = None;
+            }
+            self.stats.flushes += 1;
+        }
+
+        fn insert_l1(&mut self, entry: TlbEntry) {
+            self.clock += 1;
+            if let Some(slot) = self
+                .l1
+                .iter_mut()
+                .find(|s| s.entry.asid == entry.asid && s.entry.vpn == entry.vpn)
+            {
+                slot.entry = entry;
+                slot.lru = self.clock;
+                return;
+            }
+            let slot = L1Slot {
+                entry,
+                lru: self.clock,
+            };
+            if self.l1.len() < self.config.l1_entries {
+                self.l1.push(slot);
+            } else {
+                let victim = self
+                    .l1
+                    .iter_mut()
+                    .min_by_key(|s| s.lru)
+                    .expect("L1 TLB is non-empty when full");
+                *victim = slot;
+            }
+        }
+
+        fn l2_index(&self, vpn: u64) -> usize {
+            (vpn as usize) & (self.config.l2_entries - 1)
+        }
+    }
+
+    /// Seeded streams of every TLB operation, over three ASIDs that share
+    /// one small VPN pool: the packed L1 agrees with the fat-slot L1 on
+    /// every outcome and on `stats()` after every step.
+    #[test]
+    fn packed_l1_matches_fat_slot_reference() {
+        use hpmp_memsim::SplitMix64;
+
+        let configs = [
+            TlbConfig {
+                l1_entries: 1,
+                l2_entries: 4,
+                l2_hit_latency: 4,
+            },
+            TlbConfig {
+                l1_entries: 4,
+                l2_entries: 8,
+                l2_hit_latency: 4,
+            },
+            TlbConfig::default(),
+        ];
+        for (seed, config) in configs.into_iter().enumerate() {
+            let mut rng = SplitMix64::seed_from_u64(0x7eb + seed as u64);
+            let mut tlb = Tlb::new(config);
+            let mut reference = FatSlotTlb::new(config);
+            let vpns = 2 * config.l1_entries as u64 + 8;
+            for step in 0..20_000 {
+                let asid = rng.gen_range(1..4) as u16;
+                let vpn = rng.gen_range(0..vpns);
+                let va = VirtAddr::new((vpn << PAGE_SHIFT) | rng.gen_range(0..1 << PAGE_SHIFT));
+                match rng.gen_range(0..100) {
+                    0..=54 => assert_eq!(
+                        tlb.lookup(asid, va),
+                        reference.lookup(asid, va),
+                        "{config:?}: lookup ({asid}, {vpn}) at step {step}"
+                    ),
+                    55..=89 => {
+                        let mut e = entry(asid, vpn);
+                        e.frame = PhysAddr::new(rng.gen_range(0..1 << 20) << PAGE_SHIFT);
+                        tlb.fill(e);
+                        reference.fill(e);
+                    }
+                    90..=93 => {
+                        tlb.flush_page(asid, va);
+                        reference.flush_page(asid, va);
+                    }
+                    94..=95 => {
+                        tlb.flush_asid(asid);
+                        reference.flush_asid(asid);
+                    }
+                    96 => {
+                        tlb.flush_all();
+                        reference.flush_all();
+                    }
+                    _ => {
+                        tlb.advance_epoch();
+                        reference.epoch += 1;
+                    }
+                }
+                assert_eq!(tlb.stats(), reference.stats, "{config:?}: step {step}");
+            }
+            let s = tlb.stats();
+            assert!(s.l1_hits > 0 && s.l2_hits > 0 && s.misses > 0 && s.stale > 0);
+        }
     }
 
     #[test]

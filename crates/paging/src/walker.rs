@@ -8,14 +8,18 @@
 //! happen" (here) from "what each reference costs" (machine layer) is what
 //! lets one walker serve the PMP, PMP-Table and HPMP configurations.
 
-use hpmp_memsim::{PhysAddr, PhysMem, VirtAddr};
+use hpmp_memsim::{InlineVec, PhysAddr, PhysMem, VirtAddr};
 
 use crate::pwc::WalkCache;
 use crate::space::{AddressSpace, Translation};
-use crate::Pte;
+use crate::{Pte, TranslationMode};
+
+/// Most PT-page references one walk performs: one per level of the
+/// deepest mode, Sv57.
+pub const MAX_PT_REFS: usize = TranslationMode::Sv57.levels();
 
 /// One PT-page reference performed by a walk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PtRef {
     /// Page-table level of the PTE that was read (root = `levels - 1`).
     pub level: usize,
@@ -29,7 +33,7 @@ pub struct PtRef {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalkResult {
     /// PT-page references actually performed, in order.
-    pub pt_refs: Vec<PtRef>,
+    pub pt_refs: InlineVec<PtRef, MAX_PT_REFS>,
     /// The translation, or `None` on a page fault.
     pub translation: Option<Translation>,
     /// Deepest PWC level that hit, if any (1 = skipped everything above the
@@ -73,7 +77,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
     let asid = space.asid();
     if !mode.is_canonical(va) {
         return WalkResult {
-            pt_refs: Vec::new(),
+            pt_refs: InlineVec::new(),
             translation: None,
             pwc_hit_level: None,
         };
@@ -94,7 +98,7 @@ pub fn walk(mem: &PhysMem, space: &AddressSpace, pwc: &mut WalkCache, va: VirtAd
         }
     }
 
-    let mut pt_refs = Vec::with_capacity(level + 1);
+    let mut pt_refs = InlineVec::new();
     loop {
         let slot = AddressSpace::pte_addr(table, va, level);
         let pte = Pte::from_bits(mem.read_u64(slot));
