@@ -1,10 +1,11 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
 //! reads/writes, cache-hierarchy references (L1-resident and DRAM-bound),
 //! TLB/PWC/PMPTW-cache lookups, the 3-D nested walk, the planned HPMP
-//! check of a table-mode entry, interned-counter bumps and the model
-//! checker's state fork — plus an end-to-end page-walk sweep whose
-//! throughput declaration turns the timing into the suite's
-//! walks-per-second headline (printed to stderr after the run).
+//! check of a table-mode entry, interned-counter bumps, and the SMP
+//! monitor's cross-hart shootdown, state fork and fingerprint — plus
+//! end-to-end page-walk and 4-hart tenancy sweeps whose throughput
+//! declarations turn the timing into the suite's walks-per-second
+//! headline (printed to stderr after the run).
 //!
 //! These are the operations every simulated memory reference pays, so their
 //! per-op cost bounds full-experiment wall clock. Emit a machine-readable
@@ -354,66 +355,77 @@ fn walks(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end SMP walk throughput per execution backend: the fixed-seed
-/// tenancy shape at 4 harts, once on the deterministic interleaver and
-/// once on the threaded backend. Both runs are observably identical (the
-/// conformance battery byte-compares their snapshots), so one calibration
-/// run fixes the walk count for both throughput declarations, and the
-/// `walks_per_sec` ratio between the two records is exactly the threaded
-/// backend's speedup. Wall-clock ratio depends on host core count: on a
-/// single-core host the hart threads timeslice and the ratio is ~1x or
-/// below (thread overhead); the speedup shows from ~4 cores up.
-fn smp_backends(c: &mut Criterion) {
-    use hpmp_machine::ExecBackend;
+/// End-to-end SMP walk throughput: the fixed-seed tenancy shape at 4
+/// harts, with throughput calibrated against the run's own walk counter.
+fn smp_tenancy(c: &mut Criterion) {
     use hpmp_memsim::CoreKind;
     use hpmp_penglai::TeeFlavor;
-    use hpmp_workloads::smp::{run_smp_backend, spec_for};
+    use hpmp_workloads::smp::{run_smp, spec_for};
 
-    /// The `hpmpsim` SMP seed, so the bench measures the same run the
-    /// conformance battery verifies.
+    /// The `hpmpsim` SMP seed, so the bench measures the run
+    /// `hpmpsim --harts 4 --workload tenancy` reports.
     const SMP_SEED: u64 = 0x4850_4d50;
     const HARTS: usize = 4;
 
     let mut group = c.benchmark_group("smp");
     group.sample_size(20);
     let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
-    let run = |backend| {
-        run_smp_backend(
+    let run = || {
+        run_smp(
             TeeFlavor::PenglaiHpmp,
             CoreKind::Rocket,
             HARTS,
             SMP_SEED,
             spec,
-            backend,
         )
         .expect("tenancy runs clean")
     };
 
-    let (_, snap) = run(ExecBackend::Deterministic);
+    let (_, snap) = run();
     let walks = walks_in_snapshot(&snap);
     assert!(walks > 0, "the SMP sweep must page-walk");
     group.throughput(Throughput::Elements(walks));
-
-    group.bench_function("tenancy_x4_deterministic", |b| {
-        b.iter(|| black_box(run(ExecBackend::Deterministic)).0.accesses)
-    });
-    group.bench_function("tenancy_x4_threaded", |b| {
-        b.iter(|| black_box(run(ExecBackend::Threaded)).0.accesses)
-    });
+    group.bench_function("tenancy_x4", |b| b.iter(|| black_box(run()).0.accesses));
     group.finish();
 }
 
-/// The model checker's per-transition fork: clone and drop a booted
-/// 2-hart HPMP system, as `hpmp-verify bmc` does for every op it tries.
-fn fork(c: &mut Criterion) {
-    use hpmp_penglai::{SmpSystem, TeeFlavor};
+/// Monitor-level SMP operations on a booted 2-hart HPMP system:
+/// `smp/fork` clones and drops it, as `hpmp-verify bmc` does for every op
+/// it tries. Then, with an enclave scheduled on hart 0, `smp/shootdown`
+/// is one `alloc_on` + `free_on` pair from hart 0 (a GMS grant and
+/// revoke, each delivering a cross-hart shootdown to hart 1), and
+/// `smp/fingerprint` is the model checker's `state_fingerprint`.
+fn smp_ops(c: &mut Criterion) {
+    use hpmp_penglai::{GmsLabel, SmpSystem, TeeFlavor};
 
     let mut group = c.benchmark_group("smp");
     group.sample_size(200);
     let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), 128 << 20);
-    let smp = SmpSystem::boot(MachineConfig::rocket(), TeeFlavor::PenglaiHpmp, ram, 2)
+    let mut smp = SmpSystem::boot(MachineConfig::rocket(), TeeFlavor::PenglaiHpmp, ram, 2)
         .expect("2-hart HPMP boot");
     group.bench_function("fork", |b| b.iter(|| drop(black_box(smp.clone()))));
+
+    let (enclave, _) = smp
+        .create_domain_on(0, 256 * 1024, GmsLabel::Fast)
+        .expect("enclave create");
+    smp.switch_on(0, enclave).expect("schedule the enclave");
+    let shootdowns = |smp: &mut SmpSystem| smp.metrics_snapshot().value("hart.1.shootdowns");
+    let before = shootdowns(&mut smp);
+    group.bench_function("shootdown", |b| {
+        b.iter(|| {
+            let (region, alloc) = smp
+                .alloc_on(0, enclave, 64 * 1024, GmsLabel::Slow)
+                .expect("grant");
+            alloc + smp.free_on(0, enclave, region.base).expect("revoke")
+        })
+    });
+    assert!(
+        shootdowns(&mut smp) > before,
+        "grant and revoke must shoot down hart 1"
+    );
+    group.bench_function("fingerprint", |b| {
+        b.iter(|| black_box(&smp).state_fingerprint())
+    });
     group.finish();
 }
 
@@ -426,7 +438,7 @@ criterion_group!(
     checks,
     registry,
     walks,
-    smp_backends,
-    fork
+    smp_tenancy,
+    smp_ops
 );
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! hpmpsim [--flavor pmp|pmpt|hpmp] [--core rocket|boom]
 //!         [--workload redis|serverless|gap|rv8|lmbench|tenancy|virtapp]
 //!         [--scenario aging] [--churn-ops N]
-//!         [--harts N] [--backend deterministic|threaded]
+//!         [--harts N]
 //!         [--jobs N] [--pwc N] [--pmptw-cache N]
 //!         [--no-tlb-inlining] [--encryption CYCLES] [--epmp]
 //!         [--trace-out walks.jsonl] [--metrics-out metrics.json]
@@ -30,15 +30,6 @@
 //! events carry a `hart` field and the metrics snapshot gains per-hart
 //! `hart.<i>.*` shootdown/fence counters plus `smp.*` totals.
 //!
-//! `--backend threaded` (with `--harts` >= 2) runs the same SMP shape on
-//! the threaded execution backend: one OS thread per hart between monitor
-//! operations, sharded physical memory, per-hart metric arenas, and
-//! mailbox shootdown delivery. Outcomes and metric snapshots are
-//! byte-identical to the default `deterministic` backend (the conformance
-//! battery enforces this) — only wall-clock changes. Time-resolved
-//! telemetry (`--snapshot-interval`/`--timeline-out`/`--spans-out`)
-//! requires the deterministic backend.
-//!
 //! SMP runs can also record *time-resolved* telemetry (both require
 //! `--harts` ≥ 2 and a single workload): `--snapshot-interval N` cuts a
 //! timeline slice — a delta of the unified metrics snapshot — every N
@@ -54,11 +45,11 @@
 //! a workload run: `--churn-ops N` enclave lifecycles (default 1200) over a
 //! deliberately small 128 MiB arena, pushing the monitor down its staged
 //! degradation ladder (normal → compacting → table-only → admission
-//! control). The run honours `--flavor`, `--core`, `--harts` and
-//! `--backend`, uses the fixed SMP seed, and is byte-identical at any
-//! `--jobs` and on either backend. `--metrics-out`/`--bench-out` work as
-//! usual; `--host-profile-out` is rejected. Exit status: 0 normally, 1 if
-//! a robustness invariant broke (canary loss or a fast-path/oracle
+//! control). The run honours `--flavor`, `--core` and `--harts`, uses the
+//! fixed SMP seed, and is byte-identical at any `--jobs`.
+//! `--metrics-out`/`--bench-out`/`--spans-out` work as usual;
+//! `--host-profile-out` is rejected. Exit status: 0 normally, 1 if a
+//! robustness invariant broke (canary loss or a fast-path/oracle
 //! disagreement), and **3** if the run *ended* inside stage-3 admission
 //! control — a distinct, non-panicking signal that the modelled fleet
 //! saturated its arena.
@@ -72,9 +63,12 @@
 //! `--campaign-out` writes one JSON record per trial plus a final summary
 //! object; for a fixed `--fault-seed` the file and stdout are
 //! byte-identical at any `--jobs` level. A campaign writes only
-//! `--campaign-out` and `--metrics-out`: the workload-path artifact flags
-//! and `--scenario` are rejected with it, and `--fault-seed` and
-//! `--campaign-out` are rejected without it (exit 2).
+//! `--campaign-out` and `--metrics-out`, and its spec fixes the machine it
+//! runs on: the workload-path artifact flags, `--scenario` and the
+//! machine-shape flags (`--core`, `--harts`, `--pwc`, `--pmptw-cache`,
+//! `--no-tlb-inlining`, `--encryption`, `--epmp`, `--workload`) are
+//! rejected with it, and `--fault-seed` and `--campaign-out` are rejected
+//! without it (exit 2).
 //!
 //! `--trace-out` streams one JSON object per page walk (see
 //! `hpmp_trace::WalkEvent::to_json`); `--metrics-out` writes the unified
@@ -99,7 +93,7 @@ use std::io::Write as _;
 use hpmp_bench::run_ordered;
 use hpmp_core::PmptwCacheConfig;
 use hpmp_faults::{run_shard, CampaignReport, CampaignSpec};
-use hpmp_machine::{ExecBackend, MachineConfig};
+use hpmp_machine::MachineConfig;
 use hpmp_memsim::CoreKind;
 use hpmp_penglai::TeeFlavor;
 use hpmp_trace::{
@@ -116,7 +110,6 @@ struct Options {
     scenario: Option<String>,
     churn_ops: Option<u32>,
     harts: usize,
-    backend: ExecBackend,
     jobs: Option<usize>,
     pwc: Option<usize>,
     pmptw_cache: Option<usize>,
@@ -140,7 +133,7 @@ fn usage() -> ! {
         "usage: hpmpsim [--flavor pmp|pmpt|hpmp] [--core rocket|boom]\n\
          \x20              [--workload redis|serverless|gap|rv8|lmbench|tenancy|virtapp]\n\
          \x20              [--scenario aging] [--churn-ops N]\n\
-         \x20              [--harts N] [--backend deterministic|threaded]\n\
+         \x20              [--harts N]\n\
          \x20              [--jobs N] [--pwc N] [--pmptw-cache N]\n\
          \x20              [--no-tlb-inlining] [--encryption CYCLES] [--epmp]\n\
          \x20              [--trace-out walks.jsonl] [--metrics-out metrics.json]\n\
@@ -165,7 +158,6 @@ fn parse_args() -> Options {
         scenario: None,
         churn_ops: None,
         harts: 1,
-        backend: ExecBackend::Deterministic,
         jobs: None,
         pwc: None,
         pmptw_cache: None,
@@ -183,8 +175,11 @@ fn parse_args() -> Options {
         campaign_out: None,
         host_profile_out: None,
     };
+    // Every flag given, so checks can tell a default from an explicit one.
+    let mut given = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        given.push(arg.clone());
         let mut value = |name: &str| {
             args.next().unwrap_or_else(|| {
                 eprintln!("missing value for {name}");
@@ -235,13 +230,6 @@ fn parse_args() -> Options {
                     usage()
                 }
             },
-            "--backend" => match value("--backend").parse() {
-                Ok(backend) => options.backend = backend,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            },
             "--jobs" => match value("--jobs").parse() {
                 Ok(n) => options.jobs = Some(n),
                 Err(_) => {
@@ -287,31 +275,37 @@ fn parse_args() -> Options {
         eprintln!("--churn-ops needs --scenario aging");
         usage()
     }
+    let is_given = |flag: &&str| given.iter().any(|arg| arg == flag);
     if options.fault_campaign.is_some() {
-        // A campaign writes only its records and its metrics.
-        let workload_only = [
-            ("--trace-out", options.trace_out.is_some()),
-            ("--bench-out", options.bench_out.is_some()),
-            ("--snapshot-interval", options.snapshot_interval.is_some()),
-            ("--timeline-out", options.timeline_out.is_some()),
-            ("--spans-out", options.spans_out.is_some()),
-            ("--host-profile-out", options.host_profile_out.is_some()),
-            ("--scenario", options.scenario.is_some()),
+        // A campaign writes only its records and its metrics, and its spec
+        // fixes the machine it runs on.
+        let ignored = [
+            "--trace-out",
+            "--bench-out",
+            "--snapshot-interval",
+            "--timeline-out",
+            "--spans-out",
+            "--host-profile-out",
+            "--scenario",
+            "--core",
+            "--harts",
+            "--pwc",
+            "--pmptw-cache",
+            "--no-tlb-inlining",
+            "--encryption",
+            "--epmp",
+            "--workload",
         ];
-        if let Some((flag, _)) = workload_only.iter().find(|(_, given)| *given) {
+        if let Some(flag) = ignored.into_iter().find(is_given) {
             eprintln!("{flag} does not apply to --fault-campaign");
             usage()
         }
-    } else {
-        for (flag, given) in [
-            ("--fault-seed", options.fault_seed.is_some()),
-            ("--campaign-out", options.campaign_out.is_some()),
-        ] {
-            if given {
-                eprintln!("{flag} needs --fault-campaign");
-                usage()
-            }
-        }
+    } else if let Some(flag) = ["--fault-seed", "--campaign-out"]
+        .into_iter()
+        .find(is_given)
+    {
+        eprintln!("{flag} needs --fault-campaign");
+        usage()
     }
     options
 }
@@ -373,9 +367,6 @@ fn main() {
             "  harts        : {} (seed {SMP_SEED}, cross-hart shootdowns on)",
             options.harts
         );
-        if options.backend == ExecBackend::Threaded {
-            println!("  backend      : threaded (per-hart OS threads between monitor ops)");
-        }
     }
 
     let workloads: Vec<&str> = options
@@ -393,20 +384,10 @@ fn main() {
         eprintln!("no workload given");
         usage()
     }
-    if options.backend == ExecBackend::Threaded && options.harts < 2 {
-        eprintln!("--backend threaded needs --harts >= 2");
-        usage()
-    }
     let telemetry_requested = options.snapshot_interval.is_some()
         || options.timeline_out.is_some()
         || options.spans_out.is_some();
     if telemetry_requested {
-        if options.backend == ExecBackend::Threaded {
-            // Timeline slices and spans live on the global simulated
-            // clock, which only advances serially.
-            eprintln!("time-resolved telemetry requires --backend deterministic");
-            usage()
-        }
         // The timeline/span clock is the SMP global simulated clock, so
         // time-resolved telemetry only exists for multi-hart runs; one
         // artifact file covers one run, so one workload.
@@ -664,14 +645,10 @@ fn run_fault_campaign(options: &Options) -> ! {
 ///
 /// The run is single-threaded internally (`--jobs` only sizes the unused
 /// worker pool), so stdout and every artifact are byte-identical at any
-/// parallelism and on either backend. Exit codes: 0 for a clean run, 1 if
-/// a canary or the permission oracle was violated, 3 if the run *ended*
-/// inside stage-3 admission control.
+/// parallelism. Exit codes: 0 for a clean run, 1 if a canary or the
+/// permission oracle was violated, 3 if the run *ended* inside stage-3
+/// admission control.
 fn run_aging_scenario(options: &Options) -> ! {
-    if options.backend == ExecBackend::Threaded && options.harts < 2 {
-        eprintln!("--backend threaded needs --harts >= 2");
-        usage()
-    }
     if options.trace_out.is_some()
         || options.snapshot_interval.is_some()
         || options.timeline_out.is_some()
@@ -683,23 +660,13 @@ fn run_aging_scenario(options: &Options) -> ! {
         );
         usage()
     }
-    if options.spans_out.is_some() && options.backend == ExecBackend::Threaded {
-        // Spans live on the serial simulated clock.
-        eprintln!("--spans-out with --scenario aging requires --backend deterministic");
-        usage()
-    }
     let churn_ops = options
         .churn_ops
         .unwrap_or(hpmp_workloads::aging::DEFAULT_CHURN_OPS);
     let spec = hpmp_workloads::aging::AgingSpec::with_ops(churn_ops);
     println!(
-        "hpmpsim: aging scenario on {} / {} ({} hart(s), {} churn ops, seed {SMP_SEED}, \
-         backend {})",
-        options.flavor,
-        options.core,
-        options.harts,
-        churn_ops,
-        options.backend.name(),
+        "hpmpsim: aging scenario on {} / {} ({} hart(s), {} churn ops, seed {SMP_SEED})",
+        options.flavor, options.core, options.harts, churn_ops,
     );
     let boot_failed = |e: hpmp_penglai::MonitorError| -> ! {
         eprintln!("aging scenario failed to boot: {e}");
@@ -731,7 +698,6 @@ fn run_aging_scenario(options: &Options) -> ! {
             options.harts,
             SMP_SEED,
             spec,
-            options.backend,
         )
         .unwrap_or_else(|e| boot_failed(e))
     };
@@ -928,42 +894,6 @@ fn run_one(options: &Options, workload: &str, tracing: bool) -> WorkloadOutput {
 /// monitor and physical memory. Per-hart trace bytes are spliced in hart
 /// order — events carry their hart id, so analysis does not depend on the
 /// global interleaving order.
-/// Runs one SMP workload on the selected backend. The threaded backend
-/// takes no telemetry spec — telemetry flags were rejected at parse time.
-fn run_smp_dispatch<S: TraceSink + Send>(
-    options: &Options,
-    machines: Vec<hpmp_machine::Machine<S>>,
-    spec: hpmp_workloads::smp::SmpWorkloadSpec,
-    telemetry_spec: hpmp_workloads::smp::SmpTelemetrySpec,
-) -> (
-    hpmp_workloads::smp::SmpOutcome,
-    Snapshot,
-    Vec<S>,
-    hpmp_workloads::smp::SmpTelemetry,
-) {
-    match options.backend {
-        ExecBackend::Deterministic => hpmp_workloads::smp::run_smp_telemetry(
-            machines,
-            options.flavor,
-            SMP_SEED,
-            spec,
-            telemetry_spec,
-        )
-        .expect("SMP workload"),
-        ExecBackend::Threaded => {
-            let (outcome, snap, sinks) =
-                hpmp_workloads::smp::run_smp_threaded(machines, options.flavor, SMP_SEED, spec)
-                    .expect("SMP workload");
-            (
-                outcome,
-                snap,
-                sinks,
-                hpmp_workloads::smp::SmpTelemetry::default(),
-            )
-        }
-    }
-}
-
 fn run_one_smp(options: &Options, workload: &str, tracing: bool) -> WorkloadOutput {
     let config = machine_config(options);
     let spec =
@@ -982,8 +912,14 @@ fn run_one_smp(options: &Options, workload: &str, tracing: bool) -> WorkloadOutp
                 hpmp_machine::Machine::with_sink(config, JsonlSink::new_headerless(Vec::new()))
             })
             .collect();
-        let (outcome, snap, sinks, telemetry) =
-            run_smp_dispatch(options, machines, spec, telemetry_spec);
+        let (outcome, snap, sinks, telemetry) = hpmp_workloads::smp::run_smp_telemetry(
+            machines,
+            options.flavor,
+            SMP_SEED,
+            spec,
+            telemetry_spec,
+        )
+        .expect("SMP workload");
         report_smp(&outcome, &snap, &mut stdout);
         let mut trace = Vec::new();
         let mut trace_events = 0;
@@ -1007,8 +943,14 @@ fn run_one_smp(options: &Options, workload: &str, tracing: bool) -> WorkloadOutp
         let machines = (0..options.harts)
             .map(|_| hpmp_machine::Machine::new(config))
             .collect();
-        let (outcome, snap, _, telemetry) =
-            run_smp_dispatch(options, machines, spec, telemetry_spec);
+        let (outcome, snap, _, telemetry) = hpmp_workloads::smp::run_smp_telemetry(
+            machines,
+            options.flavor,
+            SMP_SEED,
+            spec,
+            telemetry_spec,
+        )
+        .expect("SMP workload");
         report_smp(&outcome, &snap, &mut stdout);
         WorkloadOutput {
             stdout,

@@ -87,7 +87,7 @@ const EXPERIMENTS: [&str; 19] = [
 /// parser accepts must appear here — pinned by the help-coverage test.
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--jobs N | --serial] [--backend deterministic|threaded]\n\
+        "usage: repro [--jobs N | --serial]\n\
          \x20            [--trace-out walks.jsonl] [--metrics-out metrics.json]\n\
          \x20            [--bench-out BENCH_name.json]\n\
          \x20            [--snapshot-interval CYCLES] [--timeline-out timeline.jsonl]\n\
@@ -102,7 +102,6 @@ fn usage() -> ! {
 
 fn main() {
     let mut jobs: Option<usize> = None;
-    let mut backend = hpmp_machine::ExecBackend::Deterministic;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut bench_out: Option<String> = None;
@@ -117,17 +116,6 @@ fn main() {
                 Some(Ok(n)) => jobs = Some(n),
                 _ => {
                     eprintln!("repro: --jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--backend" => match raw.next().as_deref().map(str::parse) {
-                Some(Ok(b)) => backend = b,
-                Some(Err(e)) => {
-                    eprintln!("repro: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("repro: --backend needs a value");
                     std::process::exit(2);
                 }
             },
@@ -160,10 +148,6 @@ fn main() {
     }
     if telemetry.timeline_out.is_some() && telemetry.snapshot_interval.is_none() {
         eprintln!("repro: --timeline-out needs --snapshot-interval");
-        std::process::exit(2);
-    }
-    if backend == hpmp_machine::ExecBackend::Threaded && telemetry.requested() {
-        eprintln!("repro: time-resolved telemetry requires --backend deterministic");
         std::process::exit(2);
     }
     let jobs = jobs
@@ -199,7 +183,7 @@ fn main() {
         jobs,
         |i| {
             let started = std::time::Instant::now();
-            let mut out = run_one(worklist[i], tracing, &telemetry, backend);
+            let mut out = run_one(worklist[i], tracing, &telemetry);
             out.wall = started.elapsed();
             out
         },
@@ -316,15 +300,10 @@ impl TelemetryOptions {
 
 /// Runs one experiment with a private sink and registry, capturing its
 /// report output instead of printing it.
-fn run_one(
-    name: &str,
-    tracing: bool,
-    telemetry: &TelemetryOptions,
-    backend: hpmp_machine::ExecBackend,
-) -> ExperimentOutput {
+fn run_one(name: &str, tracing: bool, telemetry: &TelemetryOptions) -> ExperimentOutput {
     if tracing {
         let mut sink = JsonlSink::new_headerless(Vec::new());
-        let (snap, stdout) = capture_reports(|| dispatch(name, &mut sink, telemetry, backend));
+        let (snap, stdout) = capture_reports(|| dispatch(name, &mut sink, telemetry));
         let trace_events = sink.written();
         ExperimentOutput {
             stdout,
@@ -334,7 +313,7 @@ fn run_one(
             wall: std::time::Duration::ZERO,
         }
     } else {
-        let (snap, stdout) = capture_reports(|| dispatch(name, &mut NullSink, telemetry, backend));
+        let (snap, stdout) = capture_reports(|| dispatch(name, &mut NullSink, telemetry));
         ExperimentOutput {
             stdout,
             snap,
@@ -351,7 +330,6 @@ fn dispatch<S: TraceSink>(
     name: &str,
     sink: &mut S,
     telemetry: &TelemetryOptions,
-    backend: hpmp_machine::ExecBackend,
 ) -> Option<Snapshot> {
     let snap = match name {
         "table1" => return none_after(table1),
@@ -372,7 +350,7 @@ fn dispatch<S: TraceSink>(
         "virtapp" => virtapp(sink),
         "tenancy" => tenancy(sink),
         "encryption" => encryption(sink),
-        "multihart" => multihart(telemetry, backend),
+        "multihart" => multihart(telemetry),
         _ => unreachable!("worklist is filtered against EXPERIMENTS"),
     };
     sink.flush();
@@ -1229,14 +1207,8 @@ fn tenancy<S: TraceSink>(sink: &mut S) -> Snapshot {
 /// run additionally records time-resolved telemetry — timeline slices and
 /// monitor-operation spans — written directly to the requested paths (the
 /// run is internally deterministic, so the bytes don't depend on `--jobs`).
-/// `backend` selects the SMP execution backend for every run in the
-/// sweep; the threaded backend's snapshots are byte-identical to the
-/// deterministic ones (enforced by the conformance battery), so the table
-/// and artifacts do not change — only wall-clock does.
-fn multihart(telemetry: &TelemetryOptions, backend: hpmp_machine::ExecBackend) -> Snapshot {
-    use hpmp_workloads::smp::{run_smp_backend, run_smp_telemetry, spec_for, SmpTelemetrySpec};
-    let run_smp =
-        |flavor, core, harts, seed, spec| run_smp_backend(flavor, core, harts, seed, spec, backend);
+fn multihart(telemetry: &TelemetryOptions) -> Snapshot {
+    use hpmp_workloads::smp::{run_smp, run_smp_telemetry, spec_for, SmpTelemetrySpec};
     let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
     let seed = 0xA11CE;
     let mut metrics = Snapshot::new();

@@ -17,14 +17,13 @@ fn run(bin: &str, args: &[&str]) -> (i32, String) {
 
 /// Every flag `hpmpsim`'s parser matches on. Adding a parser arm without
 /// updating `usage()` (or this list) fails the test.
-const HPMPSIM_FLAGS: [&str; 23] = [
+const HPMPSIM_FLAGS: [&str; 22] = [
     "--flavor",
     "--core",
     "--workload",
     "--scenario",
     "--churn-ops",
     "--harts",
-    "--backend",
     "--jobs",
     "--pwc",
     "--pmptw-cache",
@@ -44,10 +43,9 @@ const HPMPSIM_FLAGS: [&str; 23] = [
 ];
 
 /// Every flag `repro`'s parser matches on.
-const REPRO_FLAGS: [&str; 10] = [
+const REPRO_FLAGS: [&str; 9] = [
     "--serial",
     "--jobs",
-    "--backend",
     "--trace-out",
     "--metrics-out",
     "--bench-out",
@@ -106,41 +104,22 @@ fn repro_help_lists_every_flag_and_experiment() {
 }
 
 #[test]
-fn hpmpsim_rejects_unknown_backends() {
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &["--harts", "2", "--backend", "bogus"],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("bogus"), "{err}");
-    assert!(
-        err.contains("threaded"),
-        "accepted names must be listed: {err}"
-    );
-}
-
-#[test]
-fn hpmpsim_rejects_threaded_telemetry_and_single_hart() {
-    // Timelines and spans live on the serial simulated clock.
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &[
-            "--harts",
-            "2",
-            "--backend",
-            "threaded",
-            "--workload",
-            "tenancy",
-            "--snapshot-interval",
-            "1000",
-        ],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("deterministic"), "{err}");
-    // The threaded backend needs something to parallelize over.
-    let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &["--backend", "threaded"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("--harts"), "{err}");
+fn backend_flag_is_unknown_to_both_binaries() {
+    // The SMP model has one execution path; there is nothing to select.
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_hpmpsim"),
+            &["--harts", "2", "--backend", "threaded"][..],
+        ),
+        (env!("CARGO_BIN_EXE_repro"), &["--backend", "deterministic"]),
+    ] {
+        let (code, err) = run(bin, args);
+        assert_eq!(code, 2, "{bin} {args:?}: {err}");
+        assert!(
+            err.contains("unknown") && err.contains("--backend"),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -166,22 +145,6 @@ fn hpmpsim_rejects_bad_scenario_combinations() {
     );
     assert_eq!(code, 2);
     assert!(err.contains("aging"), "{err}");
-    // Span attribution needs the serial simulated clock.
-    let (code, err) = run(
-        env!("CARGO_BIN_EXE_hpmpsim"),
-        &[
-            "--scenario",
-            "aging",
-            "--harts",
-            "2",
-            "--backend",
-            "threaded",
-            "--spans-out",
-            "s.jsonl",
-        ],
-    );
-    assert_eq!(code, 2);
-    assert!(err.contains("deterministic"), "{err}");
     // The host profile times workload runs; the scenario would write none.
     let (code, err) = run(
         env!("CARGO_BIN_EXE_hpmpsim"),
@@ -195,7 +158,8 @@ fn hpmpsim_rejects_bad_scenario_combinations() {
 fn hpmpsim_rejects_flags_the_fault_campaign_would_ignore() {
     const CAMPAIGN: [&str; 2] = ["--fault-campaign", "faults=10,shards=1"];
     // Workload-path artifacts and the scenario switch: a campaign writes
-    // none of them.
+    // none of them. Machine-shape flags: the campaign's spec fixes the
+    // machine, so they would change nothing.
     for extra in [
         &["--trace-out", "w.jsonl"][..],
         &["--bench-out", "BENCH_x.json"],
@@ -204,6 +168,14 @@ fn hpmpsim_rejects_flags_the_fault_campaign_would_ignore() {
         &["--snapshot-interval", "1000"],
         &["--host-profile-out", "host.json"],
         &["--scenario", "aging"],
+        &["--core", "boom"],
+        &["--harts", "2"],
+        &["--pwc", "16"],
+        &["--pmptw-cache", "8"],
+        &["--no-tlb-inlining"],
+        &["--encryption", "40"],
+        &["--epmp"],
+        &["--workload", "redis"],
     ] {
         let args = [&CAMPAIGN[..], extra].concat();
         let (code, err) = run(env!("CARGO_BIN_EXE_hpmpsim"), &args);
@@ -218,13 +190,6 @@ fn hpmpsim_rejects_flags_the_fault_campaign_would_ignore() {
         assert!(err.contains(extra[0]), "{extra:?}: {err}");
         assert!(err.contains("needs --fault-campaign"), "{extra:?}: {err}");
     }
-}
-
-#[test]
-fn repro_rejects_unknown_backends() {
-    let (code, err) = run(env!("CARGO_BIN_EXE_repro"), &["--backend", "bogus"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("bogus"), "{err}");
 }
 
 #[test]

@@ -46,9 +46,7 @@ impl ShootdownCost {
     /// The sender's stall for one broadcast once every receiver has
     /// acknowledged: interconnect flight plus the slowest handler. (The
     /// per-target `ipi_post` writes are charged separately as they are
-    /// issued.) Shared by both SMP backends so the synchronous
-    /// interleaver and the mailbox/acknowledgement-barrier model charge
-    /// identical cycles.
+    /// issued.)
     pub fn sender_stall(&self, slowest_ack: u64) -> u64 {
         self.ipi_latency + slowest_ack
     }
@@ -114,27 +112,6 @@ pub enum IpiKind {
     /// The receiver's register image depends on the changed domain; it
     /// must reprogram its PMP/HPMP registers before fencing.
     Reprogram,
-}
-
-/// One shootdown handler's worth of deferred work, queued to a receiving
-/// hart's SPSC mailbox by the threaded SMP backend.
-///
-/// In the deterministic backend the receiver's handler (trap, optional
-/// reprogram, fence) runs synchronously inside the monitor operation. The
-/// threaded backend performs the parts that need the monitor's state
-/// (reprogramming the register image) serially at post time, then defers
-/// the hart-local parts — invalidating cached isolation state and
-/// charging the pre-computed handler cycles — to the receiving hart's own
-/// thread, which drains its mailbox at the next epoch barrier *before*
-/// issuing any accesses. No access can ever observe pre-shootdown state,
-/// so the two schedules are indistinguishable counter-for-counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeferredShootdown {
-    /// What the handler logically did (for tracing/diagnostics).
-    pub kind: IpiKind,
-    /// The receiver-side handler cost, fully computed at post time
-    /// (trap round trip + any reprogram CSR writes + fence).
-    pub handler_cycles: u64,
 }
 
 /// The IPI fabric: per-hart mailboxes plus delivery counters.

@@ -26,11 +26,9 @@
 mod machine;
 mod multihart;
 mod setup;
-mod threaded;
 mod virt;
 
 pub use machine::{AccessOutcome, Fault, Machine, MachineConfig, MachineStats, RefBreakdown};
 pub use multihart::{HartScheduler, MultiHartMachine};
 pub use setup::{IsolationScheme, ScatteredPtFrames, System, SystemBuilder};
-pub use threaded::{ExecBackend, SpscMailbox};
 pub use virt::{VirtAccessOutcome, VirtMachine, VirtRefBreakdown, VirtScheme};

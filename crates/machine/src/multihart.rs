@@ -41,8 +41,8 @@ use hpmp_trace::{CounterId, MetricsRegistry, NullSink, Snapshot, TraceSink};
 pub(crate) struct HartWiring {
     ipis_sent: CounterId,
     ipis_received: CounterId,
-    pub(crate) shootdowns: CounterId,
-    pub(crate) shootdown_cycles: CounterId,
+    shootdowns: CounterId,
+    shootdown_cycles: CounterId,
     fence_stall_cycles: CounterId,
 }
 
@@ -60,20 +60,20 @@ impl HartWiring {
 
 /// N harts around one physical memory. See the module docs for the
 /// ownership discipline.
-#[derive(Debug)]
+///
+/// A clone is an independent fork of the whole multi-hart state (harts,
+/// registers, caches, the shared `PhysMem`, IPI fabric, counters) that the
+/// bounded model checker's DFS can mutate and discard without touching the
+/// original.
+#[derive(Clone, Debug)]
 pub struct MultiHartMachine<S: TraceSink = NullSink> {
-    pub(crate) harts: Vec<Machine<S>>,
-    /// Which hart currently owns the real `PhysMem` (the canonical copy,
-    /// under the threaded backend).
-    pub(crate) active: usize,
+    harts: Vec<Machine<S>>,
+    /// Which hart currently owns the real `PhysMem`.
+    active: usize,
     fabric: IpiFabric,
     cost: ShootdownCost,
-    pub(crate) metrics: MetricsRegistry,
-    pub(crate) ids: Vec<HartWiring>,
-    /// Threaded-backend state (per-hart shootdown mailboxes and metric
-    /// arenas); `None` under the deterministic interleaver. See
-    /// [`crate::threaded`].
-    pub(crate) threaded: Option<crate::threaded::ThreadedState>,
+    metrics: MetricsRegistry,
+    ids: Vec<HartWiring>,
 }
 
 impl MultiHartMachine {
@@ -109,7 +109,6 @@ impl<S: TraceSink> MultiHartMachine<S> {
             cost: ShootdownCost::DEFAULT,
             metrics,
             ids,
-            threaded: None,
         }
     }
 
@@ -249,31 +248,6 @@ impl<S: TraceSink> MultiHartMachine<S> {
     /// Consumes the machine, returning each hart's sink in hart order.
     pub fn into_sinks(self) -> Vec<S> {
         self.harts.into_iter().map(Machine::into_sink).collect()
-    }
-}
-
-/// Snapshot support for the bounded model checker: a clone is an
-/// independent fork of the whole multi-hart state (harts, registers,
-/// caches, the shared `PhysMem`, IPI fabric, counters) that the DFS can
-/// mutate and discard without touching the original.
-///
-/// Only the deterministic backend can be forked — the threaded backend
-/// owns OS threads and per-hart mailboxes that have no meaningful copy.
-impl<S: TraceSink + Clone> Clone for MultiHartMachine<S> {
-    fn clone(&self) -> MultiHartMachine<S> {
-        assert!(
-            self.threaded.is_none(),
-            "cannot fork a MultiHartMachine while the threaded backend is active"
-        );
-        MultiHartMachine {
-            harts: self.harts.clone(),
-            active: self.active,
-            fabric: self.fabric.clone(),
-            cost: self.cost,
-            metrics: self.metrics.clone(),
-            ids: self.ids.clone(),
-            threaded: None,
-        }
     }
 }
 

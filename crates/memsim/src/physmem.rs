@@ -59,11 +59,6 @@ impl Chunk {
 pub struct PhysMem {
     dir: Vec<Option<Box<Chunk>>>,
     resident: usize,
-    /// When set, every mutated PFN is appended to `dirty` so a sharded
-    /// copy of this memory can be brought up to date page-by-page instead
-    /// of re-cloned wholesale (the threaded SMP backend's broadcast).
-    log_writes: bool,
-    dirty: Vec<u64>,
 }
 
 impl PhysMem {
@@ -107,9 +102,6 @@ impl PhysMem {
     }
 
     fn page_mut(&mut self, pfn: u64) -> &mut [u64; WORDS_PER_PAGE] {
-        if self.log_writes {
-            self.dirty.push(pfn);
-        }
         assert!(
             pfn < MAX_PFN,
             "write beyond the {MAX_PHYS_BITS}-bit simulated physical address space"
@@ -135,9 +127,6 @@ impl PhysMem {
     pub fn zero_page(&mut self, base: PhysAddr) {
         assert!(base.is_aligned(PAGE_SIZE), "zero_page of unaligned {base}");
         let pfn = base.page_number();
-        if self.log_writes {
-            self.dirty.push(pfn);
-        }
         let hi = (pfn >> CHUNK_SHIFT) as usize;
         let lo = (pfn & (CHUNK_PAGES as u64 - 1)) as usize;
         if let Some(Some(chunk)) = self.dir.get_mut(hi) {
@@ -147,28 +136,8 @@ impl PhysMem {
         }
     }
 
-    /// Enables or disables PFN write logging. Enabling (or re-enabling)
-    /// starts from an empty log.
-    pub fn set_write_log(&mut self, on: bool) {
-        self.log_writes = on;
-        self.dirty.clear();
-    }
-
-    /// Drains the write log: the sorted, deduplicated set of PFNs mutated
-    /// since the log was last enabled or drained.
-    pub fn take_dirty_pfns(&mut self) -> Vec<u64> {
-        let mut pfns = std::mem::take(&mut self.dirty);
-        pfns.sort_unstable();
-        pfns.dedup();
-        pfns
-    }
-
     /// Copies one 4 KiB page within this memory, from `src` to `dst` (both
-    /// page aligned). An unbacked source zeroes the destination. The
-    /// destination lands in the write log like any other mutation, so a
-    /// sharded copy of this memory picks the moved page up at the next
-    /// broadcast — which is what keeps the monitor's segment compaction
-    /// coherent under the threaded SMP backend.
+    /// page aligned). An unbacked source zeroes the destination.
     ///
     /// # Panics
     ///
@@ -188,24 +157,6 @@ impl PhysMem {
         match words {
             Some(words) => *self.page_mut(dst.page_number()) = words,
             None => self.zero_page(dst),
-        }
-    }
-
-    /// Makes this memory's view of `pfn` identical to `src`'s: copies the
-    /// backing page if `src` has one, otherwise drops ours (so the frame
-    /// reads as zero again). Used to propagate dirty pages from a
-    /// write-logged canonical memory into its shards.
-    pub fn copy_page_from(&mut self, src: &PhysMem, pfn: u64) {
-        let hi = (pfn >> CHUNK_SHIFT) as usize;
-        let lo = (pfn & (CHUNK_PAGES as u64 - 1)) as usize;
-        let src_page = src
-            .dir
-            .get(hi)
-            .and_then(|c| c.as_ref())
-            .and_then(|c| c.slots[lo].as_ref());
-        match src_page {
-            Some(page) => *self.page_mut(pfn) = **page,
-            None => self.zero_page(PhysAddr::new(pfn << PAGE_SHIFT)),
         }
     }
 
@@ -406,29 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn write_log_tracks_dirty_pages_and_broadcast_syncs_shards() {
-        let mut canon = PhysMem::new();
-        canon.write_u64(PhysAddr::new(0x1000), 1);
-        let mut shard = canon.clone();
-        canon.set_write_log(true);
-        canon.write_u64(PhysAddr::new(0x1008), 2);
-        canon.write_u64(PhysAddr::new(0x5000), 3);
-        canon.zero_page(PhysAddr::new(0x5000));
-        let dirty = canon.take_dirty_pfns();
-        assert_eq!(dirty, vec![1, 5], "sorted + deduplicated");
-        for &pfn in &dirty {
-            shard.copy_page_from(&canon, pfn);
-        }
-        assert_eq!(shard.read_u64(PhysAddr::new(0x1008)), 2);
-        assert_eq!(shard.read_u64(PhysAddr::new(0x5000)), 0);
-        assert_eq!(shard.resident_pages(), canon.resident_pages());
-        assert!(
-            canon.take_dirty_pfns().is_empty(),
-            "drain empties the log; shard writes are not logged"
-        );
-    }
-
-    #[test]
     fn frame_allocator_bump() {
         let mut fa = FrameAllocator::new(PhysAddr::new(0x8000_0000), 3 * PAGE_SIZE);
         assert_eq!(fa.remaining(), 3);
@@ -461,18 +389,16 @@ mod tests {
     }
 
     #[test]
-    fn copy_page_within_moves_bytes_and_logs_destination() {
+    fn copy_page_within_moves_bytes_and_zeroes_from_unbacked_source() {
         let mut mem = PhysMem::new();
         mem.write_u64(PhysAddr::new(0x1000), 0x11);
         mem.write_u64(PhysAddr::new(0x1ff8), 0x22);
-        mem.set_write_log(true);
         mem.copy_page_within(PhysAddr::new(0x1000), PhysAddr::new(0x4000));
         assert_eq!(mem.read_u64(PhysAddr::new(0x4000)), 0x11);
         assert_eq!(mem.read_u64(PhysAddr::new(0x4ff8)), 0x22);
         // Unbacked source zeroes the destination.
         mem.copy_page_within(PhysAddr::new(0x7000), PhysAddr::new(0x4000));
         assert_eq!(mem.read_u64(PhysAddr::new(0x4000)), 0);
-        assert_eq!(mem.take_dirty_pfns(), vec![4], "destination pfn logged");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use crate::degrade::DegradationPolicy;
 use crate::gms::GmsLabel;
 use crate::monitor::{cost, DomainId, MonitorError, SecureMonitor, TeeFlavor};
-use hpmp_core::{DeferredShootdown, IpiKind, PmpRegion};
+use hpmp_core::{IpiKind, PmpRegion};
 use hpmp_machine::{Machine, MachineConfig, MultiHartMachine};
 use hpmp_memsim::{AccessKind, PhysAddr};
 use hpmp_trace::{
@@ -53,8 +53,7 @@ use hpmp_trace::{
 /// `Clone` forks the whole system — monitor, every hart's registers and
 /// caches, the shared physical memory — into an independent copy, which is
 /// what lets the bounded model checker (`hpmp-modelcheck`) backtrack: apply
-/// an op to a fork, explore, discard. Forking panics if the threaded
-/// backend is active (see [`hpmp_machine::MultiHartMachine`]'s `Clone`).
+/// an op to a fork, explore, discard.
 #[derive(Clone, Debug)]
 pub struct SmpSystem<S: TraceSink = NullSink> {
     mh: MultiHartMachine<S>,
@@ -475,15 +474,7 @@ impl<S: TraceSink> SmpSystem<S> {
         if self.suppress_shootdowns || self.mh.harts() == 1 {
             return Ok(0);
         }
-        // Under the threaded backend the hart-local handler half
-        // (invalidate + cycle charge) is deferred to the receiver's own
-        // thread via its mailbox; everything that needs the monitor's
-        // state — kind selection, reprogramming the register image — still
-        // runs serially here, and the sender's stall is charged
-        // identically. Receiver-side spans are skipped: the threaded
-        // backend runs with spans disabled.
-        let deferred = self.mh.threaded();
-        let spans_on = self.spans.is_enabled() && !deferred;
+        let spans_on = self.spans.is_enabled();
         let t0 = if spans_on { self.global_cycles() } else { 0 };
         let ipi_post = self.mh.shootdown_cost().ipi_post;
         let ipi_latency = self.mh.shootdown_cost().ipi_latency;
@@ -531,18 +522,8 @@ impl<S: TraceSink> SmpSystem<S> {
                 handler += reprogram_cycles;
             }
             handler += cost::FENCE;
-            if deferred {
-                self.mh.defer_shootdown(
-                    hart,
-                    DeferredShootdown {
-                        kind: ipi.kind,
-                        handler_cycles: handler,
-                    },
-                );
-            } else {
-                self.mh.machine(hart).invalidate_isolation();
-                self.mh.charge_shootdown(hart, handler);
-            }
+            self.mh.machine(hart).invalidate_isolation();
+            self.mh.charge_shootdown(hart, handler);
             slowest_ack = slowest_ack.max(handler);
             if spans_on {
                 // The umbrella's width is ipi_latency + this receiver's
@@ -585,48 +566,6 @@ impl<S: TraceSink> SmpSystem<S> {
         let stall = self.mh.shootdown_cost().sender_stall(slowest_ack);
         self.mh.charge_fence_stall(from, stall);
         Ok(sender_cycles + stall)
-    }
-
-    /// Switches the system to the threaded execution backend. Call after
-    /// all tenant setup; see
-    /// [`hpmp_machine::MultiHartMachine::enable_threaded`]. Shootdowns
-    /// posted by later ops are deferred to per-hart mailboxes and drained
-    /// at epoch starts (or at [`SmpSystem::quiesce`]).
-    pub fn enable_threaded(&mut self) {
-        assert!(
-            !self.spans.is_enabled(),
-            "span collection requires the deterministic backend"
-        );
-        self.mh.enable_threaded();
-    }
-
-    /// Whether the threaded backend is active.
-    pub fn threaded(&self) -> bool {
-        self.mh.threaded()
-    }
-
-    /// Runs one parallel epoch across all harts; see
-    /// [`hpmp_machine::MultiHartMachine::parallel_epoch`]. `body` must only
-    /// run accesses/compute on its own machine — monitor ops stay in the
-    /// serial phases between epochs.
-    pub fn parallel_epoch<E, R>(
-        &mut self,
-        extras: &mut [E],
-        body: impl Fn(u16, &mut Machine<S>, &mut E) -> R + Sync,
-    ) -> Vec<R>
-    where
-        S: Send,
-        E: Send,
-        R: Send,
-    {
-        self.mh.parallel_epoch(extras, body)
-    }
-
-    /// Drains any still-deferred shootdowns and folds per-hart arenas into
-    /// the shared registry, so a following [`SmpSystem::metrics_snapshot`]
-    /// is complete. No-op under the deterministic backend.
-    pub fn quiesce(&mut self) {
-        self.mh.quiesce_threaded();
     }
 
     /// One merged snapshot: the multi-hart machine's `hart.<i>.*` and

@@ -79,8 +79,8 @@ fn backpressure_advertises_its_backoff() {
 
 #[test]
 fn monitor_error_boxes_into_dyn_error() {
-    // The embedding contract: Send + Sync + 'static, so the error crosses
-    // thread boundaries in the threaded backend's result plumbing.
+    // The embedding contract: Send + Sync + 'static, so an embedder can
+    // carry the error across thread boundaries.
     fn takes_boxed(_: Box<dyn Error + Send + Sync + 'static>) {}
     takes_boxed(Box::new(MonitorError::from(HpmpError::Locked(1))));
 }

@@ -54,7 +54,7 @@ pub use host::{
     alloc_stats, walks_per_sec, AllocStats, HostExperiment, HostProfile, HostProfiler,
     HOST_PROFILE_KIND,
 };
-pub use metrics::{CounterArena, CounterId, MetricsRegistry, Snapshot};
+pub use metrics::{CounterId, MetricsRegistry, Snapshot};
 pub use read::{
     check_schema, parse_event, read_trace_file, ReadError, TraceReader, WALK_EVENT_STREAM,
 };

@@ -106,34 +106,6 @@ impl MetricsRegistry {
         self.names.is_empty()
     }
 
-    /// A private arena sized for this registry's current counters, all
-    /// zero. Threads bump the arena through the same [`CounterId`]s and
-    /// the owner folds it back in with
-    /// [`MetricsRegistry::absorb_arena`] at a quiesce point.
-    pub fn arena(&self) -> CounterArena {
-        CounterArena {
-            values: vec![0; self.values.len()],
-        }
-    }
-
-    /// Adds an arena's accumulated deltas into this registry index-wise
-    /// and clears the arena for reuse. The arena must have been created
-    /// by [`MetricsRegistry::arena`] on this registry (counters interned
-    /// since then are fine — the arena simply has no slot for them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena has more slots than the registry has counters.
-    pub fn absorb_arena(&mut self, arena: &mut CounterArena) {
-        assert!(
-            arena.values.len() <= self.values.len(),
-            "arena from a different (larger) registry"
-        );
-        for (slot, delta) in self.values.iter_mut().zip(&mut arena.values) {
-            *slot += std::mem::take(delta);
-        }
-    }
-
     /// Freeze the current state into an immutable snapshot. This is the
     /// point where counter names are materialized (sorted) again.
     pub fn snapshot(&self) -> Snapshot {
@@ -145,41 +117,6 @@ impl MetricsRegistry {
                 .map(|(name, &value)| (name.clone(), value))
                 .collect(),
         }
-    }
-}
-
-/// A thread-private accumulation buffer over a registry's interned
-/// counters: a bare `Vec<u64>` bumped through [`CounterId`]s with no
-/// locking, merged back into the owning [`MetricsRegistry`] at quiesce
-/// points. This is how the threaded SMP backend lets every hart count
-/// into shared (`hart.<i>.*`) counters without contending on the shared
-/// registry: counter addition is commutative, so absorbing per-hart
-/// arenas in any order reproduces the serial totals exactly.
-#[derive(Clone, Debug, Default)]
-pub struct CounterArena {
-    values: Vec<u64>,
-}
-
-impl CounterArena {
-    /// Add `delta` to the arena slot behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was interned after this arena was created.
-    #[inline]
-    pub fn bump(&mut self, id: CounterId, delta: u64) {
-        self.values[id.0 as usize] += delta;
-    }
-
-    /// Current accumulated value behind `id` (for tests/inspection).
-    #[inline]
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.values[id.0 as usize]
-    }
-
-    /// Whether every slot is zero (nothing pending absorption).
-    pub fn is_clear(&self) -> bool {
-        self.values.iter().all(|&v| v == 0)
     }
 }
 
@@ -434,29 +371,6 @@ mod tests {
         assert_eq!(snap.value("machine.walks"), 8);
         assert_eq!(snap.value("machine.cycles"), 100);
         assert_eq!(snap.len(), 2);
-    }
-
-    #[test]
-    fn arenas_absorb_index_wise_and_clear() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("hart.0.shootdowns");
-        let b = reg.counter("hart.0.shootdown_cycles");
-        reg.bump(a, 2);
-        let mut arena0 = reg.arena();
-        let mut arena1 = reg.arena();
-        // A counter interned after arena creation must not shift slots.
-        let late = reg.counter("smp.late");
-        arena0.bump(a, 3);
-        arena0.bump(b, 100);
-        arena1.bump(a, 5);
-        reg.absorb_arena(&mut arena0);
-        reg.absorb_arena(&mut arena1);
-        assert_eq!(reg.get(a), 10);
-        assert_eq!(reg.get(b), 100);
-        assert_eq!(reg.get(late), 0);
-        assert!(arena0.is_clear() && arena1.is_clear());
-        reg.absorb_arena(&mut arena0); // absorbing a clear arena is a no-op
-        assert_eq!(reg.get(a), 10);
     }
 
     #[test]

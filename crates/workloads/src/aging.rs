@@ -20,14 +20,13 @@
 //! cache-free oracle at the affected base, so a fast-path grant the oracle
 //! denies (the fail-open bug class) is counted, not silently survived.
 //!
-//! Determinism: all churn decisions come from one `SplitMix64` stream and
-//! every monitor operation is serial under both backends, so outcomes and
-//! metric snapshots are byte-identical across `--jobs` and across the
-//! deterministic/threaded backends (the access phases between lifecycles
-//! are the only parallel work, and those are per-hart-RNG pure).
+//! Determinism: all churn decisions come from one `SplitMix64` stream,
+//! each resident's accesses from its own per-hart stream, and the run is
+//! single-threaded, so outcomes and metric snapshots are byte-identical
+//! across `--jobs`.
 
 use hpmp_core::PmptwCache;
-use hpmp_machine::{ExecBackend, Machine};
+use hpmp_machine::Machine;
 use hpmp_memsim::{AccessKind, CoreKind, PhysAddr, PrivMode, SplitMix64, VirtAddr, PAGE_SIZE};
 use hpmp_penglai::{DegradeStage, DomainId, GmsLabel, MonitorError, SmpSystem, TeeFlavor};
 use hpmp_trace::{Snapshot, SpanCollector, TraceSink};
@@ -74,8 +73,8 @@ struct ChurnEnclave {
     immortal: bool,
 }
 
-/// Everything one aging run observed. `Eq` so the cross-backend
-/// conformance battery can compare runs outright.
+/// Everything one aging run observed. `Eq` so reruns can be compared
+/// outright.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AgingOutcome {
     /// Harts simulated.
@@ -166,10 +165,9 @@ pub fn run_aging(
     harts: usize,
     seed: u64,
     spec: AgingSpec,
-    backend: ExecBackend,
 ) -> Result<(AgingOutcome, Snapshot), MonitorError> {
     let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-    let (outcome, snapshot, _) = run_aging_machines(machines, flavor, seed, spec, backend)?;
+    let (outcome, snapshot, _) = run_aging_machines(machines, flavor, seed, spec)?;
     Ok((outcome, snapshot))
 }
 
@@ -179,49 +177,38 @@ pub fn run_aging(
 /// # Errors
 ///
 /// As [`run_aging`].
-pub fn run_aging_machines<S: TraceSink + Send>(
+pub fn run_aging_machines<S: TraceSink>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
     seed: u64,
     spec: AgingSpec,
-    backend: ExecBackend,
 ) -> Result<(AgingOutcome, Snapshot, Vec<S>), MonitorError> {
-    let (outcome, snapshot, _, sinks) =
-        run_aging_inner(machines, flavor, seed, spec, backend, None)?;
+    let (outcome, snapshot, _, sinks) = run_aging_inner(machines, flavor, seed, spec, None)?;
     Ok((outcome, snapshot, sinks))
 }
 
-/// As [`run_aging_machines`], with span collection on (deterministic
-/// backend only — spans live on the serial global clock): every monitor
+/// As [`run_aging_machines`], with span collection on: every monitor
 /// op opens a span and each compaction pass emits a `compact` child span,
 /// so `hpmp-analyze profile --spans` can attribute degradation cycles.
 ///
 /// # Errors
 ///
 /// As [`run_aging`].
-pub fn run_aging_spans<S: TraceSink + Send>(
+pub fn run_aging_spans<S: TraceSink>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
     seed: u64,
     spec: AgingSpec,
     span_capacity: usize,
 ) -> Result<(AgingOutcome, Snapshot, SpanCollector, Vec<S>), MonitorError> {
-    run_aging_inner(
-        machines,
-        flavor,
-        seed,
-        spec,
-        ExecBackend::Deterministic,
-        Some(span_capacity),
-    )
+    run_aging_inner(machines, flavor, seed, spec, Some(span_capacity))
 }
 
-fn run_aging_inner<S: TraceSink + Send>(
+fn run_aging_inner<S: TraceSink>(
     machines: Vec<Machine<S>>,
     flavor: TeeFlavor,
     seed: u64,
     spec: AgingSpec,
-    backend: ExecBackend,
     span_capacity: Option<usize>,
 ) -> Result<(AgingOutcome, Snapshot, SpanCollector, Vec<S>), MonitorError> {
     let harts = machines.len();
@@ -246,9 +233,6 @@ fn run_aging_inner<S: TraceSink + Send>(
             ),
         })
         .collect();
-    if backend == ExecBackend::Threaded {
-        smp.enable_threaded();
-    }
 
     // All lifecycle decisions come from this one stream.
     let mut churn_rng = SplitMix64::seed_from_u64(seed ^ 0xA61C_E5EB_D5C3_A6E5);
@@ -262,23 +246,11 @@ fn run_aging_inner<S: TraceSink + Send>(
     out.stage_path.push((0, stage.level()));
 
     for op in 0..spec.churn_ops {
-        // Parallel phase: residents touch their working sets.
-        match backend {
-            ExecBackend::Deterministic => {
-                for (h, work) in works.iter_mut().enumerate() {
-                    let (cycles, accesses) = access_phase(smp.machine(h as u16), work, spec.batch);
-                    out.total_cycles += cycles;
-                    out.accesses += accesses;
-                }
-            }
-            ExecBackend::Threaded => {
-                for (cycles, accesses) in smp.parallel_epoch(&mut works, |_, machine, work| {
-                    access_phase(machine, work, spec.batch)
-                }) {
-                    out.total_cycles += cycles;
-                    out.accesses += accesses;
-                }
-            }
+        // Access phase: residents touch their working sets.
+        for (h, work) in works.iter_mut().enumerate() {
+            let (cycles, accesses) = access_phase(smp.machine(h as u16), work, spec.batch);
+            out.total_cycles += cycles;
+            out.accesses += accesses;
         }
 
         // Serial phase: one lifecycle op, driven from a rotating hart that
@@ -345,7 +317,6 @@ fn run_aging_inner<S: TraceSink + Send>(
         out.max_stage = out.max_stage.max(stage.level());
     }
 
-    smp.quiesce();
     smp.flush_sinks();
     out.final_stage = smp.monitor().degrade_stage().level();
     out.live_at_end = live.len() as u32;
@@ -453,15 +424,8 @@ mod tests {
     #[test]
     fn aging_walks_the_whole_degradation_ladder() {
         let spec = AgingSpec::with_ops(DEFAULT_CHURN_OPS);
-        let (out, snap) = run_aging(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (out, snap) =
+            run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert_eq!(out.max_stage, 3, "stage path: {:?}", out.stage_path);
         let levels: Vec<u8> = out.stage_path.iter().map(|&(_, s)| s).collect();
         for want in [1, 2, 3] {
@@ -478,43 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn aging_is_byte_identical_across_backends() {
-        let spec = AgingSpec::with_ops(400);
-        let run = |backend| {
-            run_aging(
-                TeeFlavor::PenglaiHpmp,
-                CoreKind::Rocket,
-                2,
-                SEED,
-                spec,
-                backend,
-            )
-            .unwrap()
-        };
-        let (det, det_snap) = run(ExecBackend::Deterministic);
-        let (thr, thr_snap) = run(ExecBackend::Threaded);
-        assert_eq!(det, thr, "outcomes must agree across backends");
-        assert_eq!(
-            det_snap.to_json_versioned(),
-            thr_snap.to_json_versioned(),
-            "snapshots must be byte-identical across backends"
-        );
-    }
-
-    #[test]
     fn aging_seed_matters_and_reruns_reproduce() {
         let spec = AgingSpec::with_ops(200);
-        let run = |seed| {
-            run_aging(
-                TeeFlavor::PenglaiHpmp,
-                CoreKind::Rocket,
-                2,
-                seed,
-                spec,
-                ExecBackend::Deterministic,
-            )
-            .unwrap()
-        };
+        let run =
+            |seed| run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, seed, spec).unwrap();
         let (a, snap_a) = run(SEED);
         let (b, snap_b) = run(SEED);
         assert_eq!(a, b);
@@ -545,30 +476,16 @@ mod tests {
             .filter(|s| s.kind == hpmp_trace::SpanKind::Compact)
             .all(|s| s.parent.is_some()));
         // Collecting spans must not perturb the simulated run itself.
-        let (plain, _) = run_aging(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (plain, _) =
+            run_aging(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert_eq!(out, plain, "span collection changed the run");
     }
 
     #[test]
     fn pmp_flavour_ages_into_the_entry_wall_not_the_table_stage() {
         let spec = AgingSpec::with_ops(400);
-        let (out, snap) = run_aging(
-            TeeFlavor::PenglaiPmp,
-            CoreKind::Rocket,
-            2,
-            SEED,
-            spec,
-            ExecBackend::Deterministic,
-        )
-        .unwrap();
+        let (out, snap) =
+            run_aging(TeeFlavor::PenglaiPmp, CoreKind::Rocket, 2, SEED, spec).unwrap();
         assert!(out.entry_wall_hits > 0, "PMP never hit its entry wall");
         assert_eq!(
             snap.value("monitor.degrade.enter_stage2"),

@@ -16,7 +16,7 @@
 //! single-threaded regardless of `--jobs`, so its artifacts are
 //! byte-identical at any parallelism.
 
-use hpmp_machine::{ExecBackend, HartScheduler, Machine};
+use hpmp_machine::{HartScheduler, Machine};
 use hpmp_memsim::{
     AccessKind, CoreKind, FrameAllocator, PhysAddr, PrivMode, SplitMix64, VirtAddr, PAGE_SIZE,
 };
@@ -339,200 +339,6 @@ pub fn run_smp_telemetry<S: TraceSink>(
     ))
 }
 
-/// As [`run_smp`], selecting the SMP execution backend. The two backends
-/// produce identical outcomes and metric snapshots by construction (the
-/// cross-backend conformance battery byte-compares them); `Threaded` runs
-/// the epochs on real OS threads, so only its wall-clock differs.
-///
-/// # Errors
-///
-/// Propagates monitor errors.
-pub fn run_smp_backend(
-    flavor: TeeFlavor,
-    core: CoreKind,
-    harts: usize,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-    backend: ExecBackend,
-) -> Result<(SmpOutcome, Snapshot), MonitorError> {
-    match backend {
-        ExecBackend::Deterministic => run_smp(flavor, core, harts, seed, spec),
-        ExecBackend::Threaded => {
-            let machines = (0..harts).map(|_| Machine::new(config_for(core))).collect();
-            let (outcome, snapshot, _) = run_smp_threaded(machines, flavor, seed, spec)?;
-            Ok((outcome, snapshot))
-        }
-    }
-}
-
-/// One scheduler round of the precomputed interleaving: which hart runs,
-/// and whether its tenant churns memory or round-trips through the host
-/// afterwards (either makes the round *serial* — it closes an epoch).
-#[derive(Clone, Copy, Debug)]
-struct RoundPlan {
-    hart: u16,
-    churn: bool,
-    switch: bool,
-}
-
-impl RoundPlan {
-    fn serial(self) -> bool {
-        self.churn || self.switch
-    }
-}
-
-/// One hart's private working set for the threaded backend: everything its
-/// epoch body needs, moved onto the hart's thread each epoch.
-#[derive(Debug)]
-struct HartWork {
-    tenant: SmpTenant,
-    rng: SplitMix64,
-    /// Rounds assigned to this hart in the current epoch.
-    rounds: u32,
-}
-
-/// Runs `spec` under the **threaded** backend: the same seeded
-/// interleaving as [`run_smp_machines`], but with the scheduler decisions
-/// precomputed and the rounds between monitor operations executed as
-/// parallel epochs — one OS thread per hart, each against its own
-/// [`hpmp_memsim::PhysMem`] shard and metric arena.
-///
-/// An epoch is a maximal run of rounds ending at the first *serial* round
-/// (one whose hart churns memory or switches domains), inclusive: a
-/// round's accesses precede its monitor ops in the deterministic order, so
-/// the closing round's accesses run in the parallel phase and only its
-/// monitor ops run serially after the join. Each hart's access stream
-/// depends only on its own RNG and its number of assigned rounds, and
-/// counters are order-independent sums, so the outcome and snapshot are
-/// byte-identical to the deterministic backend's.
-///
-/// Time-resolved telemetry (timelines, spans) requires the deterministic
-/// backend and is not offered here.
-///
-/// # Errors
-///
-/// Propagates monitor errors.
-pub fn run_smp_threaded<S: TraceSink + Send>(
-    machines: Vec<Machine<S>>,
-    flavor: TeeFlavor,
-    seed: u64,
-    spec: SmpWorkloadSpec,
-) -> Result<(SmpOutcome, Snapshot, Vec<S>), MonitorError> {
-    let harts = machines.len();
-    let ram = hpmp_core::PmpRegion::new(PhysAddr::new(RAM_BASE), RAM_SIZE);
-    let mut smp = SmpSystem::boot_machines(machines, flavor, ram)?;
-    let tenants = setup_tenants(&mut smp, spec.footprint_pages)?;
-
-    // Precompute the interleaving the deterministic loop would draw,
-    // round by round.
-    let mut scheduler = HartScheduler::fair(seed, harts);
-    let mut steps_of = vec![0u32; harts];
-    let plan: Vec<RoundPlan> = (0..spec.rounds)
-        .map(|_| {
-            let hart = scheduler.next_hart();
-            let h = usize::from(hart);
-            steps_of[h] += 1;
-            RoundPlan {
-                hart,
-                churn: spec.churn_every != 0 && steps_of[h].is_multiple_of(spec.churn_every),
-                switch: spec.switch_every != 0 && steps_of[h].is_multiple_of(spec.switch_every),
-            }
-        })
-        .collect();
-
-    let mut works: Vec<HartWork> = tenants
-        .into_iter()
-        .enumerate()
-        .map(|(h, tenant)| HartWork {
-            tenant,
-            rng: SplitMix64::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(h as u64 + 1)),
-            ),
-            rounds: 0,
-        })
-        .collect();
-
-    // All setup done: unshare physical memory and go parallel.
-    smp.enable_threaded();
-
-    let mut total_cycles = 0u64;
-    let mut accesses = 0u64;
-    let mut start = 0usize;
-    while start < plan.len() {
-        // Epoch rounds `[start, stop)`; `stop - 1` is the first serial
-        // round, or the tail of the plan.
-        let mut stop = start;
-        while stop < plan.len() {
-            let serial = plan[stop].serial();
-            stop += 1;
-            if serial {
-                break;
-            }
-        }
-        for work in works.iter_mut() {
-            work.rounds = 0;
-        }
-        for round in &plan[start..stop] {
-            works[usize::from(round.hart)].rounds += 1;
-        }
-        let per_hart = smp.parallel_epoch(&mut works, |_, machine, work| {
-            let mut cycles = 0u64;
-            let mut accesses = 0u64;
-            for _ in 0..work.rounds {
-                for i in 0..spec.batch {
-                    let page = work.rng.gen_range(0..work.tenant.pages);
-                    let va = VirtAddr::new(work.tenant.va_base.raw() + page * PAGE_SIZE);
-                    let kind = if i % 4 == 3 {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    let out = machine
-                        .access(&work.tenant.space, va, kind, PrivMode::User)
-                        .expect("tenant reaches its own memory");
-                    cycles += out.cycles;
-                    accesses += 1;
-                }
-                cycles += machine.run_compute(spec.compute);
-            }
-            (cycles, accesses)
-        });
-        for (cycles, count) in per_hart {
-            total_cycles += cycles;
-            accesses += count;
-        }
-        // Serial phase: the epoch-closing round's monitor ops, in the
-        // deterministic order (churn before switch).
-        let last = plan[stop - 1];
-        if last.serial() {
-            let hart = last.hart;
-            let domain = works[usize::from(hart)].tenant.domain;
-            if last.churn {
-                let (region, cycles) = smp.alloc_on(hart, domain, 64 * 1024, GmsLabel::Slow)?;
-                total_cycles += cycles;
-                total_cycles += smp.free_on(hart, domain, region.base)?;
-            }
-            if last.switch {
-                total_cycles += smp.switch_on(hart, DomainId::HOST)?;
-                total_cycles += smp.switch_on(hart, domain)?;
-            }
-        }
-        start = stop;
-    }
-
-    // Drain shootdowns posted by the final serial phase, then snapshot.
-    smp.quiesce();
-    smp.flush_sinks();
-    let snapshot = smp.metrics_snapshot();
-    let outcome = SmpOutcome {
-        harts: harts as u32,
-        total_cycles,
-        accesses,
-        ipis_delivered: snapshot.value("smp.ipis_delivered"),
-    };
-    Ok((outcome, snapshot, smp.into_sinks()))
-}
-
 /// As [`run_smp`] but with one sink per hart, returning the sinks.
 ///
 /// # Errors
@@ -664,28 +470,6 @@ mod tests {
             render(&tel_a),
             render(&tel_b),
             "telemetry artifacts must be byte-identical across runs"
-        );
-    }
-
-    #[test]
-    fn threaded_backend_matches_deterministic_exactly() {
-        let spec = spec_for("tenancy").unwrap();
-        let (det, det_snap) =
-            run_smp(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, 42, spec).unwrap();
-        let (thr, thr_snap) = run_smp_backend(
-            TeeFlavor::PenglaiHpmp,
-            CoreKind::Rocket,
-            2,
-            42,
-            spec,
-            ExecBackend::Threaded,
-        )
-        .unwrap();
-        assert_eq!(det, thr, "outcomes must agree across backends");
-        assert_eq!(
-            det_snap.to_json_versioned(),
-            thr_snap.to_json_versioned(),
-            "merged counter snapshots must be byte-identical across backends"
         );
     }
 

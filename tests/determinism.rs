@@ -102,28 +102,40 @@ fn workloads_are_deterministic() {
 
 /// The SMP runner is single-threaded behind a seeded interleaver, so its
 /// outcome, metrics snapshot and per-hart counters must be byte-stable for
-/// a fixed (seed, harts) pair — at every hart count, across all flavours.
+/// a fixed (seed, harts) pair — for the churn-heavy, switch-only and
+/// monitor-quiet shapes, at every hart count, across all flavours.
 /// This is the invariant that makes `hpmpsim --harts N` artifacts
 /// identical whatever `--jobs` is.
 #[test]
 fn smp_runs_are_deterministic_at_every_hart_count() {
-    let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
-    for flavor in [
-        TeeFlavor::PenglaiPmp,
-        TeeFlavor::PenglaiPmpt,
-        TeeFlavor::PenglaiHpmp,
-    ] {
-        for harts in [1usize, 2, 4] {
-            let (a, snap_a) = run_smp(flavor, CoreKind::Rocket, harts, 0xd5, spec).unwrap();
-            let (b, snap_b) = run_smp(flavor, CoreKind::Rocket, harts, 0xd5, spec).unwrap();
-            assert_eq!(a, b, "{flavor} outcome at {harts} harts");
-            assert_eq!(
-                snap_a.to_json(),
-                snap_b.to_json(),
-                "{flavor} snapshot at {harts} harts"
-            );
+    // tenancy churns and switches, lmbench only switches, gap issues no
+    // monitor op after setup.
+    for workload in ["tenancy", "lmbench", "gap"] {
+        let spec = spec_for(workload).expect("workload has an SMP shape");
+        for flavor in [
+            TeeFlavor::PenglaiPmp,
+            TeeFlavor::PenglaiPmpt,
+            TeeFlavor::PenglaiHpmp,
+        ] {
+            // Eight tenants exceed the PMP baseline's register file.
+            let hart_counts: &[usize] = if flavor == TeeFlavor::PenglaiPmp {
+                &[1, 2, 4]
+            } else {
+                &[1, 2, 4, 8]
+            };
+            for &harts in hart_counts {
+                let (a, snap_a) = run_smp(flavor, CoreKind::Rocket, harts, 0xd5, spec).unwrap();
+                let (b, snap_b) = run_smp(flavor, CoreKind::Rocket, harts, 0xd5, spec).unwrap();
+                assert_eq!(a, b, "{workload}: {flavor} outcome at {harts} harts");
+                assert_eq!(
+                    snap_a.to_json(),
+                    snap_b.to_json(),
+                    "{workload}: {flavor} snapshot at {harts} harts"
+                );
+            }
         }
     }
+    let spec = spec_for("tenancy").expect("tenancy has an SMP shape");
     // Different seeds and hart counts must actually change the run.
     let (one, _) = run_smp(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, 0xd5, spec).unwrap();
     let (other_seed, _) = run_smp(TeeFlavor::PenglaiHpmp, CoreKind::Rocket, 2, 0xd6, spec).unwrap();
