@@ -1,8 +1,9 @@
 //! Microbenches for the simulator's per-access hot path: flat page-directory
 //! reads/writes, cache-hierarchy references (L1-resident and DRAM-bound),
 //! TLB/PWC/PMPTW-cache lookups, the 3-D nested walk, the planned HPMP
-//! check of a table-mode entry, interned-counter bumps, and the SMP
-//! monitor's cross-hart shootdown, state fork and fingerprint — plus
+//! check of a table-mode entry, a 16 MiB PMP Table range fill,
+//! interned-counter bumps, and the SMP monitor's create, destroy, switch,
+//! cross-hart shootdown, state fork and fingerprint — plus
 //! end-to-end page-walk and 4-hart tenancy sweeps whose throughput
 //! declarations turn the timing into the suite's walks-per-second
 //! headline (printed to stderr after the run).
@@ -17,7 +18,8 @@
 
 use hpmp_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmp_core::{
-    HpmpRegFile, LeafPmpte, PmpRegion, PmpTable, PmptwCache, PmptwCacheConfig, TableLevels,
+    FillPolicy, HpmpRegFile, LeafPmpte, PmpRegion, PmpTable, PmptwCache, PmptwCacheConfig,
+    TableLevels,
 };
 use hpmp_machine::{IsolationScheme, MachineConfig, SystemBuilder};
 use hpmp_memsim::{
@@ -266,6 +268,30 @@ fn checks(c: &mut Criterion) {
         2,
         "a table-mode check without the cache reads two pmptes"
     );
+    // A 16 MiB per-page fill of the same table, as the monitor grants a
+    // region one nibble per page: 4096 pages, 256 leaf pmptes.
+    let mut perms = Perms::RW;
+    let fill_base = PhysAddr::new(region.base.raw() + (32 << 20));
+    group.bench_function("set_range_16mib", |b| {
+        b.iter(|| {
+            perms = if perms == Perms::RW {
+                Perms::RX
+            } else {
+                Perms::RW
+            };
+            table
+                .set_range_perm(
+                    &mut mem,
+                    &mut frames,
+                    black_box(fill_base),
+                    16 << 20,
+                    perms,
+                    FillPolicy::PerPage,
+                )
+                .expect("16 MiB fill")
+        })
+    });
+
     group.bench_function("entry_plan_table", |b| {
         b.iter(|| {
             let mut allowed = 0u64;
@@ -391,12 +417,19 @@ fn smp_tenancy(c: &mut Criterion) {
 
 /// Monitor-level SMP operations on a booted 2-hart HPMP system:
 /// `smp/fork` clones and drops it, as `hpmp-verify bmc` does for every op
-/// it tries. Then, with an enclave scheduled on hart 0, `smp/shootdown`
+/// it tries, and `smp/fork_enclave` does the same once an enclave holds
+/// two regions. `smp/create` creates one enclave per iteration from hart
+/// 0 and `smp/destroy` then destroys them, newest first; `smp/switch`
+/// moves hart 0 between an enclave and the host, one switch per
+/// iteration. Then, with an enclave scheduled on hart 0, `smp/shootdown`
 /// is one `alloc_on` + `free_on` pair from hart 0 (a GMS grant and
 /// revoke, each delivering a cross-hart shootdown to hart 1), and
 /// `smp/fingerprint` is the model checker's `state_fingerprint`.
 fn smp_ops(c: &mut Criterion) {
-    use hpmp_penglai::{GmsLabel, SmpSystem, TeeFlavor};
+    use hpmp_penglai::{DomainId, GmsLabel, SmpSystem, TeeFlavor};
+
+    /// Enclaves `smp/create` makes: its warm-up call plus its samples.
+    const CREATES: usize = 100;
 
     let mut group = c.benchmark_group("smp");
     group.sample_size(200);
@@ -408,7 +441,55 @@ fn smp_ops(c: &mut Criterion) {
     let (enclave, _) = smp
         .create_domain_on(0, 256 * 1024, GmsLabel::Fast)
         .expect("enclave create");
-    smp.switch_on(0, enclave).expect("schedule the enclave");
+    {
+        let mut smp = smp.clone();
+        for label in [GmsLabel::Fast, GmsLabel::Slow] {
+            smp.alloc_on(0, enclave, 64 * 1024, label).expect("grant");
+        }
+        group.bench_function("fork_enclave", |b| b.iter(|| drop(black_box(smp.clone()))));
+    }
+
+    {
+        let ram = PmpRegion::new(PhysAddr::new(RAM_BASE), 1 << 30);
+        let mut smp = SmpSystem::boot(MachineConfig::rocket(), TeeFlavor::PenglaiHpmp, ram, 2)
+            .expect("2-hart HPMP boot");
+        let mut created = Vec::with_capacity(CREATES);
+        group.sample_size(CREATES - 1);
+        group.bench_function("create", |b| {
+            b.iter(|| {
+                let (id, cycles) = smp
+                    .create_domain_on(0, 64 * 1024, GmsLabel::Slow)
+                    .expect("enclave create");
+                created.push(id);
+                cycles
+            })
+        });
+        group.bench_function("destroy", |b| {
+            b.iter(|| {
+                let id = created.pop().expect("an enclave left to destroy");
+                smp.destroy_domain_on(0, id).expect("enclave destroy")
+            })
+        });
+        assert!(created.is_empty(), "destroy undoes every create");
+        group.sample_size(200);
+    }
+
+    let mut target = enclave;
+    group.bench_function("switch", |b| {
+        b.iter(|| {
+            let cycles = smp.switch_on(0, target).expect("switch");
+            target = if target == enclave {
+                DomainId::HOST
+            } else {
+                enclave
+            };
+            cycles
+        })
+    });
+
+    if smp.scheduled(0) != enclave {
+        smp.switch_on(0, enclave).expect("schedule the enclave");
+    }
     let shootdowns = |smp: &mut SmpSystem| smp.metrics_snapshot().value("hart.1.shootdowns");
     let before = shootdowns(&mut smp);
     group.bench_function("shootdown", |b| {

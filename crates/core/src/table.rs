@@ -560,7 +560,22 @@ impl PmpTable {
             return Err(TableError::OutsideRegion(addr));
         }
         let offset = addr.offset_from(self.region.base);
+        self.set_pmpte_perm(mem, frames, offset, 1, perms)
+    }
+
+    /// Sets the permission of `pages` consecutive 4 KiB pages from region
+    /// offset `offset`, all of which one leaf pmpte covers: one descent,
+    /// one read and one write of that pmpte.
+    fn set_pmpte_perm(
+        &mut self,
+        mem: &mut dyn WordStore,
+        frames: &mut dyn TableFrameSource,
+        offset: u64,
+        pages: usize,
+        perms: Perms,
+    ) -> Result<(), TableError> {
         let split = TableOffset::split(offset);
+        debug_assert!(pages >= 1 && split.page_index + pages <= 16);
 
         // Descend the non-leaf levels, materialising tables as needed and
         // expanding huge entries into explicit children.
@@ -594,9 +609,12 @@ impl PmpTable {
             };
         }
         let leaf_slot = PhysAddr::new(table.raw() + split.off0 * 8);
-        let leaf = LeafPmpte::decode(mem.read_u64(leaf_slot))
+        let mut leaf = LeafPmpte::decode(mem.read_u64(leaf_slot))
             .map_err(|_| TableError::CorruptEntry(leaf_slot))?;
-        mem.write_u64(leaf_slot, leaf.with_perm(split.page_index, perms).to_bits());
+        for index in split.page_index..split.page_index + pages {
+            leaf = leaf.with_perm(index, perms);
+        }
+        mem.write_u64(leaf_slot, leaf.to_bits());
         Ok(())
     }
 
@@ -657,13 +675,16 @@ impl PmpTable {
     /// one huge root pmpte each (the monitor's large-allocation optimisation
     /// behind Figure 14-d); with [`FillPolicy::PerPage`] every page gets its
     /// own nibble, which is how a domain's scattered ownership actually
-    /// looks. Returns the number of pmpte *writes* performed, which the
-    /// monitor uses to model reconfiguration cost.
+    /// looks. Returns the number of modelled pmpte *writes*, which the
+    /// monitor uses to model reconfiguration cost: one per huge root pmpte
+    /// and one per page, although the pages a leaf pmpte covers are set
+    /// with one store.
     ///
     /// # Errors
     ///
-    /// Fails if the range leaves the region, is unaligned, or frames run
-    /// out.
+    /// Fails if the range leaves the region, is unaligned, frames run out
+    /// or a pmpte on the way is corrupt. The pages before the failing one
+    /// keep their new permission.
     pub fn set_range_perm(
         &mut self,
         mem: &mut dyn WordStore,
@@ -680,6 +701,9 @@ impl PmpTable {
         let mut cursor = base;
         let end = PhysAddr::new(base.raw() + len);
         while cursor < end {
+            if !self.region.contains(cursor) {
+                return Err(TableError::OutsideRegion(cursor));
+            }
             let remaining = end.raw() - cursor.raw();
             let offset = cursor.offset_from(self.region.base);
             if policy == FillPolicy::HugeWhenAligned
@@ -692,9 +716,14 @@ impl PmpTable {
                 writes += 1;
                 cursor += LEAF_TABLE_SPAN;
             } else {
-                self.set_page_perm(mem, frames, cursor, perms)?;
-                writes += 1;
-                cursor += PAGE_SIZE;
+                // The pages from here to whichever ends first: this leaf
+                // pmpte, the range or the region.
+                let in_pmpte = 16 - TableOffset::split(offset).page_index as u64;
+                let in_region = (self.region.end().raw() - cursor.raw()).div_ceil(PAGE_SIZE);
+                let pages = in_pmpte.min(remaining / PAGE_SIZE).min(in_region);
+                self.set_pmpte_perm(mem, frames, offset, pages as usize, perms)?;
+                writes += pages;
+                cursor += pages * PAGE_SIZE;
             }
         }
         Ok(writes)
@@ -1119,6 +1148,330 @@ mod tests {
         assert_eq!(TableLevels::Two.to_mode_bits(), 0); // shipped design
         assert_eq!(TableLevels::Two.depth(), 2);
         assert_eq!(TableLevels::Three.reach(), 8u64 << 40);
+    }
+
+    /// A table with its memory and frame pool, as one writer sees them.
+    #[derive(Clone)]
+    struct Fixture {
+        mem: PhysMem,
+        frames: FrameAllocator,
+        table: PmpTable,
+    }
+
+    impl Fixture {
+        fn new(levels: TableLevels, region: PmpRegion, frames: u64) -> Fixture {
+            let mut mem = PhysMem::new();
+            let mut frames = FrameAllocator::new(PhysAddr::new(0x1_0000_0000), frames * PAGE_SIZE);
+            let table = PmpTable::with_levels(region, levels, &mut mem, &mut frames).unwrap();
+            Fixture { mem, frames, table }
+        }
+
+        /// Every word of every table page, in allocation order.
+        fn words(&self) -> Vec<u64> {
+            let words = PAGE_SIZE / 8;
+            self.table
+                .table_pages()
+                .iter()
+                .flat_map(|page| (0..words).map(move |i| self.mem.read_u64(*page + i * 8)))
+                .collect()
+        }
+    }
+
+    /// The range writer before it was batched per leaf pmpte: one descent
+    /// and one leaf read-modify-write per page, through `set_page_perm`.
+    /// A start below the region wraps its offset, as the release build of
+    /// that loop did.
+    fn set_range_perm_per_page(
+        fix: &mut Fixture,
+        base: PhysAddr,
+        len: u64,
+        perms: Perms,
+        policy: FillPolicy,
+    ) -> Result<u64, TableError> {
+        let Fixture { mem, frames, table } = fix;
+        if !base.is_aligned(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) {
+            return Err(TableError::Misaligned(base));
+        }
+        let mut writes = 0;
+        let mut cursor = base;
+        let end = PhysAddr::new(base.raw() + len);
+        while cursor < end {
+            let remaining = end.raw() - cursor.raw();
+            let offset = cursor.raw().wrapping_sub(table.region().base.raw());
+            if policy == FillPolicy::HugeWhenAligned
+                && table.levels() != TableLevels::One
+                && offset.is_multiple_of(LEAF_TABLE_SPAN)
+                && remaining >= LEAF_TABLE_SPAN
+                && !perms.is_empty()
+            {
+                table.set_huge_perm(mem, cursor, perms)?;
+                writes += 1;
+                cursor += LEAF_TABLE_SPAN;
+            } else {
+                table.set_page_perm(mem, frames, cursor, perms)?;
+                writes += 1;
+                cursor += PAGE_SIZE;
+            }
+        }
+        Ok(writes)
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum RangeOp {
+        Set {
+            base: PhysAddr,
+            len: u64,
+            perms: Perms,
+            policy: FillPolicy,
+        },
+        /// Flips the low bit of the stored word, which breaks its parity.
+        Corrupt(PhysAddr),
+    }
+
+    /// Applies `ops` to two copies of `fix`, one through
+    /// [`PmpTable::set_range_perm`] and one through the per-page
+    /// reference, and checks after every op that both returned the same
+    /// result and left the same table pages holding the same words.
+    /// Returns the results.
+    fn assert_batched_matches_per_page(
+        fix: &Fixture,
+        ops: &[RangeOp],
+    ) -> Vec<Result<u64, TableError>> {
+        let (mut batched, mut reference) = (fix.clone(), fix.clone());
+        let mut results = Vec::new();
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
+                RangeOp::Set {
+                    base,
+                    len,
+                    perms,
+                    policy,
+                } => {
+                    let Fixture { mem, frames, table } = &mut batched;
+                    let got = table.set_range_perm(mem, frames, base, len, perms, policy);
+                    let want = set_range_perm_per_page(&mut reference, base, len, perms, policy);
+                    assert_eq!(got, want, "step {step}: {op:?}");
+                    results.push(got);
+                }
+                RangeOp::Corrupt(slot) => {
+                    for fix in [&mut batched, &mut reference] {
+                        let word = fix.mem.read_u64(slot);
+                        fix.mem.write_u64(slot, word ^ 1);
+                    }
+                }
+            }
+            assert_eq!(
+                batched.table.table_pages(),
+                reference.table.table_pages(),
+                "step {step}: {op:?}"
+            );
+            assert_eq!(
+                batched.frames.remaining(),
+                reference.frames.remaining(),
+                "step {step}"
+            );
+            assert!(batched.words() == reference.words(), "step {step}: {op:?}");
+        }
+        results
+    }
+
+    fn set(base: u64, pages: u64, perms: Perms, policy: FillPolicy) -> RangeOp {
+        RangeOp::Set {
+            base: PhysAddr::new(base),
+            len: pages * PAGE_SIZE,
+            perms,
+            policy,
+        }
+    }
+
+    #[test]
+    fn batched_range_writer_matches_per_page_on_edge_cases() {
+        use FillPolicy::{HugeWhenAligned, PerPage};
+        const BASE: u64 = 0x9000_0000;
+        const LEAF_PAGES: u64 = LEAF_TABLE_SPAN / PAGE_SIZE;
+        let two_level = |size, frames| {
+            Fixture::new(
+                TableLevels::Two,
+                PmpRegion::new(PhysAddr::new(BASE), size),
+                frames,
+            )
+        };
+
+        // Unaligned start and end, then a crossing of a leaf-table
+        // boundary, under both policies.
+        let fix = two_level(1 << 30, 64);
+        for policy in [PerPage, HugeWhenAligned] {
+            let out = assert_batched_matches_per_page(
+                &fix,
+                &[
+                    set(BASE + 3 * PAGE_SIZE, 40, Perms::RW, policy),
+                    set(
+                        BASE + LEAF_TABLE_SPAN - 5 * PAGE_SIZE,
+                        12,
+                        Perms::RX,
+                        policy,
+                    ),
+                    set(BASE + 7 * PAGE_SIZE, 1, Perms::NONE, policy),
+                ],
+            );
+            assert_eq!(out, [Ok(40), Ok(12), Ok(1)]);
+        }
+
+        // A huge root entry, then per-page writes that expand it.
+        let out = assert_batched_matches_per_page(
+            &fix,
+            &[
+                set(BASE, LEAF_PAGES + 20, Perms::RW, HugeWhenAligned),
+                set(BASE + 9 * PAGE_SIZE, 30, Perms::NONE, PerPage),
+                set(BASE + LEAF_TABLE_SPAN, 4, Perms::RWX, PerPage),
+            ],
+        );
+        assert_eq!(out, [Ok(21), Ok(30), Ok(4)]);
+
+        // The region ends three pages into a leaf pmpte, which overhangs
+        // it: the range stops at the region's end.
+        let fix = two_level((1 << 20) + 3 * PAGE_SIZE, 64);
+        let end = BASE + (1 << 20) + 3 * PAGE_SIZE;
+        let out = assert_batched_matches_per_page(
+            &fix,
+            &[
+                set(end - 20 * PAGE_SIZE, 30, Perms::RW, PerPage),
+                set(BASE - 2 * PAGE_SIZE, 4, Perms::RW, PerPage),
+                set(end, 1, Perms::RW, HugeWhenAligned),
+            ],
+        );
+        assert_eq!(
+            out,
+            [
+                Err(TableError::OutsideRegion(PhysAddr::new(end))),
+                Err(TableError::OutsideRegion(PhysAddr::new(
+                    BASE - 2 * PAGE_SIZE
+                ))),
+                Err(TableError::OutsideRegion(PhysAddr::new(end))),
+            ]
+        );
+
+        // Two frames: the root and one leaf table. The second leaf table
+        // is one frame too many, midway through the range.
+        let fix = two_level(1 << 30, 2);
+        let out = assert_batched_matches_per_page(
+            &fix,
+            &[set(
+                BASE + LEAF_TABLE_SPAN - 20 * PAGE_SIZE,
+                40,
+                Perms::RW,
+                PerPage,
+            )],
+        );
+        assert_eq!(out, [Err(TableError::OutOfTableFrames)]);
+
+        // A corrupt leaf pmpte in the middle of a range rewrite.
+        let fix = two_level(1 << 30, 64);
+        let corrupt = {
+            let mut probe = fix.clone();
+            let Fixture { mem, frames, table } = &mut probe;
+            table
+                .set_range_perm(
+                    mem,
+                    frames,
+                    PhysAddr::new(BASE),
+                    64 * PAGE_SIZE,
+                    Perms::RW,
+                    PerPage,
+                )
+                .unwrap();
+            table.walk(mem, PhysAddr::new(BASE + 40 * PAGE_SIZE)).refs[1].addr
+        };
+        let out = assert_batched_matches_per_page(
+            &fix,
+            &[
+                set(BASE, 64, Perms::RW, PerPage),
+                RangeOp::Corrupt(corrupt),
+                set(BASE + 5 * PAGE_SIZE, 50, Perms::RX, PerPage),
+            ],
+        );
+        assert_eq!(
+            out,
+            [Ok(64), Err(TableError::CorruptEntry(corrupt))],
+            "the pages before the corrupt pmpte keep their new permission"
+        );
+    }
+
+    /// Seeded random range writes over 1-, 2- and 3-level tables, regions
+    /// whose base and end are off pmpte and leaf-table boundaries, and
+    /// frame pools small enough to run dry, with corrupted pmptes mixed in.
+    #[test]
+    fn batched_range_writer_matches_per_page_on_seeded_ranges() {
+        use hpmp_memsim::SplitMix64;
+        let perms = [Perms::NONE, Perms::READ, Perms::RW, Perms::RX, Perms::RWX];
+        let mut outcomes = [0u32; 5];
+        for seed in 0..160u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x7ab1e + seed);
+            let levels =
+                [TableLevels::One, TableLevels::Two, TableLevels::Three][seed as usize % 3];
+            let base = 0x9000_0000 + rng.gen_range(0..32) * PAGE_SIZE;
+            let size = match levels {
+                TableLevels::One => rng.gen_range(1..LEAF_TABLE_SPAN / PAGE_SIZE) * PAGE_SIZE,
+                _ => {
+                    2 * LEAF_TABLE_SPAN + rng.gen_range(0..LEAF_TABLE_SPAN / PAGE_SIZE) * PAGE_SIZE
+                }
+            };
+            let region = PmpRegion::new(PhysAddr::new(base), size);
+            let frames = if rng.gen_range(0..3) == 0 {
+                rng.gen_range(1..5)
+            } else {
+                64
+            };
+            let fix = Fixture::new(levels, region, frames);
+            let mut ops = Vec::new();
+            for _ in 0..10 {
+                if rng.gen_range(0..12) == 0 {
+                    // Any word of a table page the ops so far may have
+                    // allocated; unallocated frames read as zero either way.
+                    let page = 0x1_0000_0000 + rng.gen_range(0..frames) * PAGE_SIZE;
+                    ops.push(RangeOp::Corrupt(PhysAddr::new(
+                        page + rng.gen_range(0..PAGE_SIZE / 8) * 8,
+                    )));
+                    continue;
+                }
+                let anchor = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => rng.gen_range(0..size / LEAF_PMPTE_SPAN + 1) * LEAF_PMPTE_SPAN,
+                    2 => rng.gen_range(0..size / LEAF_TABLE_SPAN + 1) * LEAF_TABLE_SPAN,
+                    _ => size,
+                };
+                let start = (base + anchor + rng.gen_range(0..12) * PAGE_SIZE)
+                    .saturating_sub(6 * PAGE_SIZE);
+                let mut pages = rng.gen_range(0..40);
+                if rng.gen_range(0..8) == 0 {
+                    pages += LEAF_TABLE_SPAN / PAGE_SIZE;
+                }
+                let policy = if rng.gen_range(0..2) == 0 {
+                    FillPolicy::PerPage
+                } else {
+                    FillPolicy::HugeWhenAligned
+                };
+                ops.push(set(
+                    start,
+                    pages,
+                    perms[rng.gen_range(0..5) as usize],
+                    policy,
+                ));
+            }
+            for out in assert_batched_matches_per_page(&fix, &ops) {
+                outcomes[match out {
+                    Ok(writes) if writes > 16 => 0,
+                    Ok(_) => 1,
+                    Err(TableError::OutsideRegion(_)) => 2,
+                    Err(TableError::OutOfTableFrames) => 3,
+                    Err(_) => 4,
+                }] += 1;
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "multi-pmpte, short, outside-region, out-of-frames and corrupt outcomes: {outcomes:?}"
+        );
     }
 
     #[test]

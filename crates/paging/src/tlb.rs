@@ -158,6 +158,9 @@ pub struct Tlb {
     l1: Vec<TlbEntry>,
     l1_vpn: Vec<u64>,
     l1_order: Recency,
+    /// The direct-mapped L2, allocated on the first fill and emptied (its
+    /// storage kept) by a full flush: a TLB that never fills, as in a
+    /// model-checker state, costs a fork nothing.
     l2: Vec<Option<TlbEntry>>,
     epoch: u64,
     stats: TlbStats,
@@ -180,7 +183,7 @@ impl Tlb {
             l1: Vec::with_capacity(config.l1_entries),
             l1_vpn: Vec::with_capacity(config.l1_entries),
             l1_order: Recency::default(),
-            l2: vec![None; config.l2_entries],
+            l2: Vec::new(),
             epoch: 0,
             stats: TlbStats::default(),
         }
@@ -208,7 +211,7 @@ impl Tlb {
             return Some((entry, TlbHit::L1));
         }
         let idx = self.l2_index(asid, vpn);
-        if let Some(entry) = self.l2[idx] {
+        if let Some(&Some(entry)) = self.l2.get(idx) {
             if entry.asid == asid && entry.vpn == vpn {
                 if entry.epoch != epoch {
                     self.stats.stale += 1;
@@ -232,8 +235,19 @@ impl Tlb {
             ..entry
         };
         let idx = self.l2_index(entry.asid, entry.vpn);
-        self.l2[idx] = Some(entry);
+        match self.l2.get_mut(idx) {
+            Some(slot) => *slot = Some(entry),
+            None => self.fill_empty_l2(idx, entry),
+        }
         self.insert_l1(entry);
+    }
+
+    /// Sizes the empty L2 to its configured entries, all invalid, and
+    /// installs `entry` at `idx`.
+    #[cold]
+    fn fill_empty_l2(&mut self, idx: usize, entry: TlbEntry) {
+        self.l2.resize(self.config.l2_entries, None);
+        self.l2[idx] = Some(entry);
     }
 
     /// Advances the isolation epoch: every current entry becomes unhittable
@@ -254,7 +268,7 @@ impl Tlb {
         self.l1.clear();
         self.l1_vpn.clear();
         self.l1_order.clear();
-        self.l2.iter_mut().for_each(|e| *e = None);
+        self.l2.clear();
         self.stats.flushes += 1;
     }
 
@@ -274,8 +288,10 @@ impl Tlb {
         let vpn = va.page_number();
         self.l1_retain(|e| !(e.asid == asid && e.vpn == vpn));
         let idx = self.l2_index(asid, vpn);
-        if matches!(self.l2[idx], Some(e) if e.asid == asid && e.vpn == vpn) {
-            self.l2[idx] = None;
+        if let Some(slot) = self.l2.get_mut(idx) {
+            if matches!(slot, Some(e) if e.asid == asid && e.vpn == vpn) {
+                *slot = None;
+            }
         }
         self.stats.flushes += 1;
     }

@@ -8,6 +8,7 @@
 
 use crate::event::AccessOp;
 use crate::metrics::{CounterId, MetricsRegistry};
+use std::sync::Arc;
 
 /// The access classes a machine histograms separately: operation kind ×
 /// whether the TLB served it or a walk was needed.
@@ -332,22 +333,26 @@ impl LatencyHistograms {
 /// first time that bucket is non-zero, and from then on it is stored on
 /// every [`LatencyHistogramsWiring::store`] (so a later reset writes an
 /// explicit zero rather than leaving a stale count behind).
+///
+/// Clones share the prefix and the bucket handles, as a cloned
+/// [`MetricsRegistry`] shares its names; a clone copies the bucket handles
+/// only when it interns a bucket of its own.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogramsWiring {
-    prefix: String,
+    prefix: Arc<str>,
     count: [CounterId; 6],
     cycles: [CounterId; 6],
-    buckets: Box<[[Option<CounterId>; HIST_BUCKETS]; 6]>,
+    buckets: Arc<[[Option<CounterId>; HIST_BUCKETS]; 6]>,
 }
 
 impl LatencyHistogramsWiring {
     /// Intern the summary counter names for every class under `prefix`.
     pub fn wire(reg: &mut MetricsRegistry, prefix: &str) -> LatencyHistogramsWiring {
         LatencyHistogramsWiring {
-            prefix: prefix.to_string(),
+            prefix: prefix.into(),
             count: AccessClass::ALL.map(|c| reg.counter(format!("{prefix}.{}.count", c.label()))),
             cycles: AccessClass::ALL.map(|c| reg.counter(format!("{prefix}.{}.cycles", c.label()))),
-            buckets: Box::new([[None; HIST_BUCKETS]; 6]),
+            buckets: Arc::new([[None; HIST_BUCKETS]; 6]),
         }
     }
 
@@ -367,7 +372,7 @@ impl LatencyHistogramsWiring {
                         let id =
                             reg.counter(format!("{}.{}.bucket.{lo}", self.prefix, class.label()));
                         reg.store(id, n);
-                        self.buckets[idx][i] = Some(id);
+                        Arc::make_mut(&mut self.buckets)[idx][i] = Some(id);
                     }
                     None => {}
                 }

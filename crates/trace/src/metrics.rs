@@ -11,6 +11,7 @@ use crate::read::{check_schema, ReadError};
 use crate::{json_escape, SCHEMA_VERSION};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A handle to one interned counter in a [`MetricsRegistry`].
 ///
@@ -29,11 +30,21 @@ pub struct CounterId(u32);
 /// `Vec<u64>`. String names are only materialized again when a
 /// [`Snapshot`] is taken. The string-keyed `set`/`add`/`value` methods
 /// remain for cold paths and intern on first use.
+///
+/// Cloning a registry copies only the values: the interned names are
+/// shared, and a clone copies them only when it interns a name of its own.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
+    interner: Arc<Interner>,
+    values: Vec<u64>,
+}
+
+/// The interned names of a [`MetricsRegistry`]: `names[id]` is the name of
+/// counter `id`, and `index` maps it back.
+#[derive(Clone, Debug, Default)]
+struct Interner {
     names: Vec<String>,
     index: HashMap<String, u32>,
-    values: Vec<u64>,
 }
 
 impl MetricsRegistry {
@@ -48,12 +59,13 @@ impl MetricsRegistry {
     /// leaves its value untouched); a new name starts at zero.
     pub fn counter(&mut self, name: impl Into<String>) -> CounterId {
         let name = name.into();
-        if let Some(&id) = self.index.get(&name) {
+        if let Some(&id) = self.interner.index.get(&name) {
             return CounterId(id);
         }
-        let id = u32::try_from(self.names.len()).expect("too many counters");
-        self.index.insert(name.clone(), id);
-        self.names.push(name);
+        let id = u32::try_from(self.values.len()).expect("too many counters");
+        let interner = Arc::make_mut(&mut self.interner);
+        interner.index.insert(name.clone(), id);
+        interner.names.push(name);
         self.values.push(0);
         CounterId(id)
     }
@@ -90,7 +102,7 @@ impl MetricsRegistry {
 
     /// Current value of `name` (0 when absent).
     pub fn value(&self, name: &str) -> u64 {
-        match self.index.get(name) {
+        match self.interner.index.get(name) {
             Some(&id) => self.values[id as usize],
             None => 0,
         }
@@ -98,12 +110,12 @@ impl MetricsRegistry {
 
     /// Number of interned counters.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.values.len()
     }
 
     /// Whether no counters have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.values.is_empty()
     }
 
     /// Freeze the current state into an immutable snapshot. This is the
@@ -111,6 +123,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             values: self
+                .interner
                 .names
                 .iter()
                 .zip(&self.values)
@@ -371,6 +384,41 @@ mod tests {
         assert_eq!(snap.value("machine.walks"), 8);
         assert_eq!(snap.value("machine.cycles"), 100);
         assert_eq!(snap.len(), 2);
+    }
+
+    #[test]
+    fn clone_interns_new_names_without_touching_the_original() {
+        let mut original = MetricsRegistry::new();
+        let walks = original.counter("machine.walks");
+        let cycles = original.counter("machine.cycles");
+        original.bump(walks, 3);
+        original.store(cycles, 40);
+        let before = original.snapshot();
+
+        let mut fork = original.clone();
+        assert_eq!(
+            fork.counter("machine.cycles"),
+            cycles,
+            "shared name, same id"
+        );
+        let faults = fork.counter("machine.faults");
+        fork.bump(faults, 1);
+        fork.bump(walks, 5);
+
+        assert_eq!(original.len(), 2);
+        assert_eq!(original.snapshot(), before);
+        assert_eq!(original.get(walks), 3);
+        assert_eq!(original.value("machine.faults"), 0);
+        assert_eq!(fork.len(), 3);
+        assert_eq!(fork.get(walks), 8);
+        assert_eq!(fork.value("machine.faults"), 1);
+
+        // The original interning a different new name does not collide
+        // with the fork's: each keeps its own id for it.
+        let tlb = original.counter("machine.tlb");
+        assert_eq!(tlb, faults, "both take the next free id");
+        assert_eq!(original.value("machine.faults"), 0);
+        assert_eq!(fork.value("machine.tlb"), 0);
     }
 
     #[test]

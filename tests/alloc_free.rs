@@ -6,12 +6,20 @@
 //! `VirtMachine::access` with the null trace sink performs no heap
 //! allocation at all. This binary installs a counting global allocator
 //! (which is why it is a test binary of its own) and pins that.
+//!
+//! It also pins the cost of forking a booted multi-hart system, which the
+//! bounded model checker does for every op it tries: interned counter
+//! names are shared between forks and an unfilled TLB holds no L2 array,
+//! so a fork copies little more than the machine state that differs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hpmp_suite::machine::{MachineConfig, VirtMachine, VirtScheme};
 use hpmp_suite::memsim::{AccessKind, CoreKind, PrivMode, VirtAddr, PAGE_SIZE};
+use hpmp_suite::modelcheck::bmc::boot_system;
+use hpmp_suite::modelcheck::BmcConfig;
+use hpmp_suite::penglai::TeeFlavor;
 use hpmp_suite::workloads::arena::UserArena;
 use hpmp_suite::workloads::{TeeBench, FLAVORS};
 
@@ -118,6 +126,32 @@ fn warm_nested_walks_allocate_nothing() {
         assert_eq!(
             allocations, 0,
             "{scheme}: {allocations} heap allocations in {walks} warm walks"
+        );
+    }
+}
+
+/// Most heap allocations one fork of a booted 2-hart system may make.
+const FORK_ALLOCATION_BUDGET: u64 = 32;
+
+#[test]
+fn forking_a_booted_system_stays_within_budget() {
+    for flavor in [
+        TeeFlavor::PenglaiPmp,
+        TeeFlavor::PenglaiPmpt,
+        TeeFlavor::PenglaiHpmp,
+    ] {
+        let smp = boot_system(&BmcConfig {
+            flavor,
+            ..BmcConfig::default()
+        });
+        let before = ALLOCATIONS.with(Cell::get);
+        let fork = smp.clone();
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(fork.state_fingerprint(), smp.state_fingerprint());
+        assert!(
+            allocations <= FORK_ALLOCATION_BUDGET,
+            "{flavor}: a fork made {allocations} heap allocations \
+             (budget {FORK_ALLOCATION_BUDGET})"
         );
     }
 }
